@@ -1,7 +1,7 @@
 """drainsched: slotted-time simulation and review-time schedule optimization
 for QoS flows in multihop wireless networks with interference sets."""
 
-from .channel import ChannelState, RateTable, compute_rate, draw_gains, fixed_gains, rate_table
+from .channel import compute_rate, draw_gains, fixed_gains, rate_table
 from .config import (
     ChannelParams,
     ControlParams,
@@ -16,11 +16,9 @@ from .config import (
 from .control import (
     QosCounters,
     QosSpec,
-    ReviewClock,
     SlotSchedule,
     build_slot_schedule,
     next_review_time,
-    safety_stock_gate,
     update_qos_weights,
 )
 from .engine import (
@@ -54,12 +52,10 @@ from .optim import (
     WeightVector,
     alternating_project,
     finalize_feasible,
-    gradient_step,
     objective,
     project_onto_halfspace,
     pseudo_draining_time,
     solve_review_optimization,
-    suboptimality_bound,
     theorem_gap_bound,
 )
 from .oracle import ORACLE_MAX_COORDS, oracle_solve

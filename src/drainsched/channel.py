@@ -9,7 +9,6 @@ for deterministic-rate experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,26 +17,9 @@ from .network import ConfigError, Link, NetworkSpec
 CHANNEL_STREAM = 0  # seed-sequence domain tag for channel draws
 
 
-@dataclass(frozen=True)
-class ChannelState:
-    """Power gains per link, constant within one review period."""
-
-    gains: dict[Link, float]
-    drawn_at: int
-
-
-@dataclass(frozen=True)
-class RateTable:
-    """Link rates in bits/slot derived from one ChannelState."""
-
-    rates: dict[Link, float]
-    tx_power: float
-    noise: float
-
-
 def draw_gains(
     spec: NetworkSpec, period: int, seed: int, scale_constant: float = 1.0
-) -> ChannelState:
+) -> dict[Link, float]:
     """Draw i.i.d. Rayleigh-amplitude power gains for every link.
 
     The amplitude scale of link (i, j) is scale_constant / d_ij^2. Draws are
@@ -52,15 +34,14 @@ def draw_gains(
     )
     scales = np.array([scale_constant / spec.distance(l) ** 2 for l in spec.links])
     amps = rng.rayleigh(scale=scales) if len(spec.links) else np.zeros(0)
-    gains = {link: float(a * a) for link, a in zip(spec.links, amps)}
-    return ChannelState(gains=gains, drawn_at=period)
+    return {link: float(a * a) for link, a in zip(spec.links, amps)}
 
 
-def fixed_gains(spec: NetworkSpec, period: int, gain: float) -> ChannelState:
+def fixed_gains(spec: NetworkSpec, gain: float) -> dict[Link, float]:
     """Constant-gain channel, for controlled experiments."""
     if gain < 0:
         raise ConfigError(f"fixed gain must be >= 0, got {gain}")
-    return ChannelState(gains={link: float(gain) for link in spec.links}, drawn_at=period)
+    return {link: float(gain) for link in spec.links}
 
 
 def compute_rate(gain: float, power: float = 1.0, noise: float = 1.0, base: str = "e") -> float:
@@ -80,7 +61,7 @@ def compute_rate(gain: float, power: float = 1.0, noise: float = 1.0, base: str 
 
 
 def rate_table(
-    state: ChannelState, power: float = 1.0, noise: float = 1.0, base: str = "e"
-) -> RateTable:
-    rates = {link: compute_rate(g, power, noise, base) for link, g in state.gains.items()}
-    return RateTable(rates=rates, tx_power=power, noise=noise)
+    gains: dict[Link, float], power: float = 1.0, noise: float = 1.0, base: str = "e"
+) -> dict[Link, float]:
+    """Link rates in bits/slot for one period's power gains."""
+    return {link: compute_rate(g, power, noise, base) for link, g in gains.items()}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -100,10 +101,16 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    try:
+        base = OptParams(cycles=args.cycles)
+    except ValueError as exc:
+        raise ConfigError(f"--cycles: {exc}") from None
     worst_gap = 0.0
     failures = 0
     for inst in instance_stream(args.instances, base_seed=args.base_seed):
-        params = OptParams(step_size=inst.step_size, cycles=args.cycles)
+        params = replace(base, step_size=inst.step_size)
         s, diag = solve_review_optimization(inst.weights, inst.constraints, params)
         _, best = oracle_solve(inst.weights, inst.constraints)
         got = objective(s, inst.weights)

@@ -18,7 +18,7 @@ import yaml
 
 from .control import QosSpec
 from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets
-from .optim import DIVISOR_MODES, INIT_MODES, OptParams
+from .optim import OptParams
 
 _REQUIRED = object()
 
@@ -274,20 +274,14 @@ def _parse_optimizer(section: Any) -> OptParams:
         sec, ("step_size", "cycles", "projection_repeats", "init_mode", "projection_divisor"),
         "optimizer",
     )
-    init_mode = str(sec.get("init_mode", "ones"))
-    divisor = str(sec.get("projection_divisor", "coordinates"))
-    if init_mode not in INIT_MODES:
-        raise ConfigError(f"optimizer.init_mode must be one of {INIT_MODES}")
-    if divisor not in DIVISOR_MODES:
-        raise ConfigError(f"optimizer.projection_divisor must be one of {DIVISOR_MODES}")
     try:
         return OptParams(
             step_size=_number(sec.get("step_size", 1e-4), "optimizer.step_size"),
             cycles=_integer(sec.get("cycles", 8), "optimizer.cycles"),
             projection_repeats=_integer(sec.get("projection_repeats", 10),
                                         "optimizer.projection_repeats"),
-            init_mode=init_mode,
-            divisor_mode=divisor,
+            init_mode=str(sec.get("init_mode", "ones")),
+            divisor_mode=str(sec.get("projection_divisor", "coordinates")),
         )
     except ValueError as exc:
         raise ConfigError(f"optimizer: {exc}") from None

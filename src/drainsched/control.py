@@ -1,5 +1,5 @@
-"""Discrete-review control: review clock, QoS priority weights, slot-level
-schedule realization, and safety-stock gating.
+"""Discrete-review control: review clock, QoS priority weights and slot-level
+schedule realization.
 
 Everything here is a pure function of its inputs so control decisions replay
 identically across runs with the same state.
@@ -71,24 +71,6 @@ class QosCounters:
         return self.late / self.delivered if self.delivered else None
 
 
-@dataclass(frozen=True)
-class ReviewClock:
-    """Review window [t_prev, t_rev) and the clock growth constants."""
-
-    t_prev: int = 0
-    t_rev: int = 0
-    a1: float = 1.0
-    a2: float = 1.0
-
-    def advance(self, t: int, total_backlog: float) -> "ReviewClock":
-        return ReviewClock(
-            t_prev=t,
-            t_rev=next_review_time(t, total_backlog, self.a1, self.a2),
-            a1=self.a1,
-            a2=self.a2,
-        )
-
-
 def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 1.0) -> int:
     """Next review slot: t + max(1, round(a1 * ln(1 + a2 * total backlog))).
 
@@ -126,30 +108,18 @@ def update_qos_weights(
     return out
 
 
-def safety_stock_gate(queue_len: int, safety_stock: int) -> bool:
-    """A queue is eligible for service only strictly above its safety stock."""
-    if queue_len < 0:
-        raise ValueError(f"queue length must be >= 0, got {queue_len}")
-    return queue_len > safety_stock
-
-
 @dataclass(frozen=True)
 class SlotSchedule:
     """Realized 0/1 activations for one review window.
 
-    active_by_offset[t - t_start] lists the active coordinates of slot t in
-    ascending order. assigned and quota are per coordinate.
+    active_by_offset[off] lists the active coordinates of the window's slot
+    off in ascending order. assigned and quota are per coordinate.
     """
 
-    t_start: int
     window: int
     active_by_offset: tuple[tuple[int, ...], ...]
     assigned: tuple[int, ...]
     quota: tuple[int, ...]
-
-    def is_active(self, k: int, t: int) -> bool:
-        off = t - self.t_start
-        return 0 <= off < self.window and k in self.active_by_offset[off]
 
     def count_violations(self, constraints: ConstraintSet) -> int:
         """Exhaustive exclusivity check; 0 for any schedule built here."""
@@ -164,9 +134,7 @@ class SlotSchedule:
         return bad
 
 
-def build_slot_schedule(
-    s, t_start: int, window: int, constraints: ConstraintSet
-) -> SlotSchedule:
+def build_slot_schedule(s, window: int, constraints: ConstraintSet) -> SlotSchedule:
     """Greedily realize the time fractions as conflict-free slot activations.
 
     Coordinates are visited in index order (node, then link, then flow); each
@@ -189,13 +157,7 @@ def build_slot_schedule(
             q += 1
         quota.append(q)
 
-    masks = []
-    for k in range(n):
-        m = 0
-        for hid in constraints.memberships[k]:
-            m |= 1 << hid
-        masks.append(m)
-
+    masks = constraints.masks
     busy = [0] * window
     active: list[list[int]] = [[] for _ in range(window)]
     assigned = [0] * n
@@ -216,7 +178,6 @@ def build_slot_schedule(
         assigned[k] = got
 
     return SlotSchedule(
-        t_start=t_start,
         window=window,
         active_by_offset=tuple(tuple(a) for a in active),
         assigned=tuple(assigned),

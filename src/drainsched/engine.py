@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from . import channel as chan
-from .config import SimConfig
+from .config import RunParams, SimConfig
 from .control import QosCounters, build_slot_schedule, next_review_time, update_qos_weights
 from .network import build_constraints, build_link_flow_index
 from .optim import WeightVector, objective, solve_review_optimization
@@ -71,84 +71,46 @@ class MetricsReport:
     interference_violations: int = 0
 
     def to_dict(self) -> dict:
+        # JSON object keys are strings; converting the int keys here keeps
+        # json.dump(sort_keys=True) ordering them as text.
         return {
-            "seed": self.seed,
-            "horizon": self.horizon,
+            **vars(self),
             "flows": {
-                str(fid): {
-                    "created": fm.created,
-                    "delivered": fm.delivered,
-                    "on_time": fm.on_time,
-                    "late": fm.late,
-                    "delay_sum": fm.delay_sum,
-                    "mean_delay": fm.mean_delay,
-                    "drop_ratio": fm.drop_ratio,
-                    "histogram": {str(d): c for d, c in sorted(fm.histogram.items())},
-                }
-                for fid, fm in sorted(self.flows.items())
+                str(fid): {**vars(fm), "histogram": _str_keys(fm.histogram)}
+                for fid, fm in self.flows.items()
             },
-            "queue_avg": {f"{i}:{f}": v for (i, f), v in sorted(self.queue_avg.items())},
-            "periods": [
-                {
-                    "start": p.start,
-                    "window": p.window,
-                    "objective": p.objective,
-                    "objective_trace": list(p.objective_trace),
-                    "c2": p.c2,
-                    "c3": p.c3,
-                    "handoff_messages": p.handoff_messages,
-                    "excess_broadcasts": p.excess_broadcasts,
-                    "theta": {str(fid): th for fid, th in sorted(p.theta.items())},
-                    "oracle_gap": p.oracle_gap,
-                }
-                for p in self.periods
-            ],
-            "conservation_violations": self.conservation_violations,
-            "interference_violations": self.interference_violations,
+            "queue_avg": {f"{i}:{f}": v for (i, f), v in self.queue_avg.items()},
+            "periods": [{**vars(p), "theta": _str_keys(p.theta)} for p in self.periods],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
-        flows = {}
-        for fid, fm in data["flows"].items():
-            flows[int(fid)] = FlowMetrics(
-                created=fm["created"],
-                delivered=fm["delivered"],
-                on_time=fm["on_time"],
-                late=fm["late"],
-                delay_sum=fm["delay_sum"],
-                mean_delay=fm["mean_delay"],
-                drop_ratio=fm["drop_ratio"],
-                histogram={int(d): c for d, c in fm["histogram"].items()},
-            )
-        queue_avg = {}
-        for key, v in data["queue_avg"].items():
-            i, f = key.split(":")
-            queue_avg[(int(i), int(f))] = v
-        periods = [
-            PeriodRecord(
-                start=p["start"],
-                window=p["window"],
-                objective=p["objective"],
-                objective_trace=tuple(p["objective_trace"]),
-                c2=p["c2"],
-                c3=p["c3"],
-                handoff_messages=p["handoff_messages"],
-                excess_broadcasts=p["excess_broadcasts"],
-                theta={int(fid): th for fid, th in p["theta"].items()},
-                oracle_gap=p["oracle_gap"],
-            )
-            for p in data["periods"]
-        ]
-        return cls(
-            seed=data["seed"],
-            horizon=data["horizon"],
-            flows=flows,
-            queue_avg=queue_avg,
-            periods=periods,
-            conservation_violations=data["conservation_violations"],
-            interference_violations=data["interference_violations"],
-        )
+        return cls(**{
+            **data,
+            "flows": {
+                int(fid): FlowMetrics(**{**fm, "histogram": _int_keys(fm["histogram"])})
+                for fid, fm in data["flows"].items()
+            },
+            "queue_avg": {
+                tuple(int(x) for x in key.split(":")): v for key, v in data["queue_avg"].items()
+            },
+            "periods": [
+                PeriodRecord(**{
+                    **p,
+                    "objective_trace": tuple(p["objective_trace"]),
+                    "theta": _int_keys(p["theta"]),
+                })
+                for p in data["periods"]
+            ],
+        })
+
+
+def _str_keys(d: dict) -> dict:
+    return {str(k): v for k, v in d.items()}
+
+
+def _int_keys(d: dict) -> dict:
+    return {int(k): v for k, v in d.items()}
 
 
 def flow_statistics(report: MetricsReport, flow_id: int) -> tuple[float | None, float | None]:
@@ -175,6 +137,7 @@ class Simulation:
         self.config = config
         self.seed = int(seed)
         self.horizon = config.run.horizon_slots if horizon is None else int(horizon)
+        RunParams(horizon_slots=self.horizon, seeds=(self.seed,))  # same checks as a config
         self._check = check_invariants
         self._collect = collect_periods
         self._oracle_diag = oracle_diagnostics
@@ -195,12 +158,6 @@ class Simulation:
         self._rxq_of = [
             -1 if j == f else qpos[(j, f)] for (i, j, f) in self.idx.entries
         ]
-        self._coord_mask = []
-        for k in range(nk):
-            m = 0
-            for hid in self.constraints.memberships[k]:
-                m |= 1 << hid
-            self._coord_mask.append(m)
 
         nq = len(self._qkeys)
         self._queues: list[deque[int]] = [deque() for _ in range(nq)]
@@ -270,14 +227,14 @@ class Simulation:
         period = self._period_count
         self._period_count += 1
         if cfg.channel.gain_model == "fixed":
-            state = chan.fixed_gains(self.net, period, cfg.channel.fixed_gain)
+            gains = chan.fixed_gains(self.net, cfg.channel.fixed_gain)
         else:
-            state = chan.draw_gains(
+            gains = chan.draw_gains(
                 self.net, period, self.seed, cfg.channel.rayleigh_scale_constant
             )
         rates = chan.rate_table(
-            state, cfg.channel.tx_power, cfg.channel.noise_power, cfg.channel.log_base
-        ).rates
+            gains, cfg.channel.tx_power, cfg.channel.noise_power, cfg.channel.log_base
+        )
         nk = self.idx.n_coords
         for k in range(nk):
             r = rates[self._link_of[k]]
@@ -293,7 +250,7 @@ class Simulation:
         total_backlog = sum(qlen)
         self.t_prev = t
         self.t_rev = next_review_time(t, total_backlog, cfg.control.a1, cfg.control.a2)
-        schedule = build_slot_schedule(s, t, self.t_rev - t, self.constraints)
+        schedule = build_slot_schedule(s, self.t_rev - t, self.constraints)
         if self._check:
             self.interference_violations += schedule.count_violations(self.constraints)
         self._slots = schedule.active_by_offset
@@ -384,7 +341,7 @@ class Simulation:
                 qlen[qi] -= n_mv
                 self._tx_cum[qi] += n_mv
                 if self._check:
-                    m = self._coord_mask[k]
+                    m = self.constraints.masks[k]
                     if txmask & m:
                         self.interference_violations += 1
                     txmask |= m

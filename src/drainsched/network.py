@@ -146,9 +146,7 @@ class NetworkSpec:
                         )
             by_dest.setdefault(fl.destination, []).append(fl)
         for dest, group in sorted(by_dest.items()):
-            specs = {id(fl.qos): fl.qos for fl in group if fl.qos is not None}
             distinct = {fl.qos for fl in group if fl.qos is not None}
-            del specs
             if len(distinct) > 1:
                 raise ConfigError(
                     f"flows with destination {dest} carry conflicting QoS specifications"
@@ -325,6 +323,9 @@ class ConstraintSet:
         single-coordinate increase can break.
     memberships: per coordinate, the ascending ids of all halfspaces whose
         member set contains it.
+    masks: memberships as bitmasks (bit h set when halfspace h contains the
+        coordinate); two coordinates conflict exactly when their masks share
+        a bit.
     """
 
     halfspaces: tuple[Halfspace, ...]
@@ -340,9 +341,9 @@ class ConstraintSet:
                 return False
         return True
 
-    def max_member_sum_excess(self, s) -> float:
-        """Largest (member sum - 1) over all halfspaces; <= 0 when feasible."""
-        return max(sum(s[m] for m in h.members) - 1.0 for h in self.halfspaces)
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << hid for hid in ms) for ms in self.memberships)
 
 
 def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:

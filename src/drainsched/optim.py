@@ -83,7 +83,8 @@ class OptParams:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if self.divisor_mode not in DIVISOR_MODES:
             raise ValueError(
-                f"divisor_mode must be one of {DIVISOR_MODES}, got {self.divisor_mode!r}"
+                f"divisor_mode (config key projection_divisor) must be one of "
+                f"{DIVISOR_MODES}, got {self.divisor_mode!r}"
             )
 
 
@@ -108,15 +109,6 @@ def objective(s, weights: WeightVector) -> float:
             f"dimension mismatch: schedule has {s.shape}, weights have {weights.w.shape}"
         )
     return float(np.dot(weights.w * weights.mu, s))
-
-
-def gradient_step(s, k: int, weights: WeightVector, step_size: float) -> np.ndarray:
-    """One incremental ascent step: s(k) += step_size * w_k * mu_k."""
-    out = np.array(s, dtype=float, copy=True)
-    if not 0 <= k < len(out):
-        raise IndexError(f"coordinate {k} out of range for {len(out)} coordinates")
-    out[k] += step_size * float(weights.w[k]) * float(weights.mu[k])
-    return out
 
 
 def project_onto_halfspace(s, h: Halfspace) -> np.ndarray:
@@ -193,21 +185,6 @@ def theorem_gap_bound(step_size: float, n_coords: int, c2: float) -> tuple[float
     beta = 4.0 + 1.0 / n_coords
     c3 = step_size * beta * n_coords**2 * c2**2 / 2.0
     return beta, c3
-
-
-def suboptimality_bound(params: OptParams, weights: WeightVector) -> OptDiagnostics:
-    """Diagnostics-only bound for a given instance, without running the solver."""
-    c2 = weights.theta_hat * float(weights.mu.max()) if weights.n_coords else 0.0
-    beta, c3 = theorem_gap_bound(params.step_size, weights.n_coords, c2)
-    return OptDiagnostics(
-        c2=c2,
-        beta=beta,
-        c3=c3,
-        objective_trace=(),
-        final_objective=0.0,
-        handoff_messages=0,
-        excess_broadcasts=0,
-    )
 
 
 def pseudo_draining_time(backlog: float, outflow: float) -> float:

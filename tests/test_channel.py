@@ -57,7 +57,7 @@ class TestDrawGains:
         net = parallel_links_net()
         a = draw_gains(net, period=0, seed=11)
         b = draw_gains(net, period=1, seed=11)
-        assert a.gains != b.gains
+        assert a != b
 
     def test_nonpositive_scale_rejected(self):
         net = parallel_links_net()
@@ -70,27 +70,25 @@ class TestDrawGains:
         sigma = 1.0 / 0.3**2
         draws = []
         for period in range(10_000):
-            draws.extend(draw_gains(net, period, seed=5).gains.values())
+            draws.extend(draw_gains(net, period, seed=5).values())
         mean = float(np.mean(draws))
         assert len(draws) == 100_000
         assert abs(mean - 2 * sigma**2) <= 0.03 * 2 * sigma**2
 
     def test_fixed_gains(self):
         net = parallel_links_net(2)
-        state = fixed_gains(net, 0, 4.5)
-        assert set(state.gains.values()) == {4.5}
+        assert set(fixed_gains(net, 4.5).values()) == {4.5}
 
 
 class TestRateTable:
     def test_rates_follow_gains(self):
         net = parallel_links_net(3)
-        state = fixed_gains(net, 0, math.e - 1.0)
-        table = rate_table(state, power=1.0, noise=1.0)
+        rates = rate_table(fixed_gains(net, math.e - 1.0), power=1.0, noise=1.0)
         for link in net.links:
-            assert table.rates[link] == pytest.approx(1.0, abs=1e-12)
+            assert rates[link] == pytest.approx(1.0, abs=1e-12)
 
     def test_full_sequence_reproducible(self):
         net = parallel_links_net(4)
-        seq1 = [draw_gains(net, p, seed=9).gains for p in range(20)]
-        seq2 = [draw_gains(net, p, seed=9).gains for p in range(20)]
+        seq1 = [draw_gains(net, p, seed=9) for p in range(20)]
+        seq2 = [draw_gains(net, p, seed=9) for p in range(20)]
         assert seq1 == seq2

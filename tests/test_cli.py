@@ -61,6 +61,12 @@ class TestRunCommand:
         assert status == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [["--horizon", "-5"], ["--seed", "-1"]])
+    def test_bad_override_is_config_error(self, config_path, tmp_path, capsys, override):
+        status = main(["run", "--config", str(config_path), "--out", str(tmp_path)] + override)
+        assert status == 1
+        assert "config error: run." in capsys.readouterr().err
+
     def test_missing_config_file_exit_code_2(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),
                        "--out", str(tmp_path)])
@@ -86,3 +92,13 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "10 instances" in out
         assert "failures 0" in out
+
+    @pytest.mark.parametrize("override", [
+        ["--cycles", "0"], ["--instances", "0"], ["--instances", "-3"],
+    ])
+    def test_bad_override_is_config_error(self, capsys, override):
+        status = main(["oracle-check"] + override)
+        assert status == 1
+        captured = capsys.readouterr()
+        assert f"config error: {override[0]}" in captured.err
+        assert "instances" not in captured.out

@@ -88,6 +88,12 @@ control:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("key", ["init_mode", "projection_divisor"])
+    def test_bad_optimizer_mode_named(self, key):
+        doc = MINIMAL + f"\noptimizer: {{{key}: bogus}}\n"
+        with pytest.raises(ConfigError, match=f"optimizer: .*{key}.*'bogus'"):
+            parse_config(doc)
+
 
 class TestQosParsing:
     def test_qos_attached_to_flows(self):

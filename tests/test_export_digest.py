@@ -1,0 +1,45 @@
+"""Byte-identity of the JSON export on two pinned runs.
+
+The digests are those recorded in perfbench/golden.json. A refactor that
+keeps every answer must keep both; a change that alters an answer must say
+so and update both places.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from drainsched.config import with_qos
+from drainsched.control import QosSpec
+from drainsched.engine import run_simulation
+from drainsched.experiments import (
+    TABLE2_ROWS,
+    TABLE2_THETA,
+    bundled_preset_config,
+    export_metrics,
+)
+
+
+def longwin_config():
+    """mesh10 with control.a1 = 8 and table2's first QoS row."""
+    deadline, ratio, target8 = TABLE2_ROWS[0]
+    theta7, theta8 = TABLE2_THETA
+    cfg = with_qos(bundled_preset_config(), {
+        7: QosSpec(kind="hard_deadline", deadline_slots=deadline,
+                   drop_ratio_target=ratio, theta_hat=theta7),
+        8: QosSpec(kind="mean_delay", target_slots=target8, theta_hat=theta8),
+    })
+    return replace(cfg, control=replace(cfg.control, a1=8.0))
+
+
+@pytest.mark.parametrize("build, horizon, sha256", [
+    (bundled_preset_config, 10_000,
+     "06f675f70e0ca2929650ec7d496cdbc67f43b968e7ff870e4f20105294fd23bd"),
+    (longwin_config, 30_000,
+     "21a74aa72beaa07af6115c24467998ac5025fe08045e70e5a5d5f685e0e70a9f"),
+], ids=["mesh10", "mesh10-longwin-deadline"])
+def test_json_export_digest(tmp_path, build, horizon, sha256):
+    path = tmp_path / "metrics.json"
+    export_metrics(run_simulation(build(), horizon=horizon, seed=1), "json", path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

@@ -196,6 +196,15 @@ class TestBuildConstraints:
             for h in cons.endpoints[k]:
                 assert k in cons.halfspaces[h].members
 
+    def test_masks_have_exactly_the_membership_bits(self, mesh10):
+        idx = build_link_flow_index(mesh10)
+        cons = build_constraints(idx, mesh10)
+        assert len(cons.masks) == idx.n_coords
+        for k, mask in enumerate(cons.masks):
+            bits = {h for h in range(len(cons.halfspaces)) if mask >> h & 1}
+            assert bits == set(cons.memberships[k])
+            assert mask >> len(cons.halfspaces) == 0
+
     def test_link_without_flow_contributes_no_coordinate(self, mesh10):
         idx = build_link_flow_index(mesh10)
         cons = build_constraints(idx, mesh10)

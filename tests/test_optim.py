@@ -11,12 +11,10 @@ from drainsched.optim import (
     WeightVector,
     alternating_project,
     finalize_feasible,
-    gradient_step,
     objective,
     project_onto_halfspace,
     pseudo_draining_time,
     solve_review_optimization,
-    suboptimality_bound,
     theorem_gap_bound,
 )
 
@@ -101,24 +99,6 @@ class TestObjective:
         wv = WeightVector(w=np.ones(3), mu=np.ones(3))
         with pytest.raises(ValueError, match="mismatch"):
             objective(np.ones(2), wv)
-
-
-class TestGradientStep:
-    def test_arithmetic(self):
-        wv = WeightVector(w=np.array([100.0]), mu=np.array([2.0]))
-        out = gradient_step(np.array([0.1]), 0, wv, 0.0001)
-        assert out[0] == pytest.approx(0.12)
-
-    def test_zero_weight_no_change(self):
-        wv = WeightVector(w=np.array([0.0, 1.0]), mu=np.array([5.0, 5.0]))
-        s = np.array([0.3, 0.4])
-        assert np.array_equal(gradient_step(s, 0, wv, 0.1), s)
-
-    def test_other_coordinates_untouched(self):
-        wv = WeightVector(w=np.ones(4), mu=np.ones(4))
-        s = np.zeros(4)
-        out = gradient_step(s, 2, wv, 0.5)
-        assert out[2] == 0.5 and out[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
 
 
 class TestProjectOntoHalfspace:
@@ -343,6 +323,57 @@ class TestSolveReviewOptimization:
         assert inst.constraints.feasible(s)
 
 
+def public_reference_solve(weights, constraints, params):
+    """The cyclic method written with the public projection functions that
+    criterion 2 gates: one gradient step per coordinate, then
+    alternating_project onto its endpoint halfspaces, then finalize_feasible.
+    An all-zero objective skips the cycles, as the solver documents."""
+    s = np.ones(constraints.n_coords)
+    wmu = weights.w * weights.mu
+    if wmu.any():
+        hs = constraints.halfspaces
+        for _ in range(params.cycles):
+            for k, (h1, h2) in enumerate(constraints.endpoints):
+                s[k] += params.step_size * wmu[k]
+                s = alternating_project(s, hs[h1], hs[h2], params.projection_repeats)
+    return finalize_feasible(s, constraints)
+
+
+class TestSolverMatchesPublicProjection:
+    """The solver inlines its projections; these tests tie it to the public
+    project_onto_halfspace / alternating_project that criterion 2 checks."""
+
+    @staticmethod
+    def assert_matches(weights, constraints, params):
+        got, _ = solve_review_optimization(weights, constraints, params)
+        want = public_reference_solve(weights, constraints, params)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+    def test_mesh10_reviews(self, monkeypatch):
+        from drainsched import engine
+        from drainsched.experiments import bundled_preset_config
+
+        seen = []
+        solve = engine.solve_review_optimization
+
+        def recording(weights, constraints, params):
+            seen.append((weights, constraints, params))
+            return solve(weights, constraints, params)
+
+        monkeypatch.setattr(engine, "solve_review_optimization", recording)
+        engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
+        assert len(seen) > 100
+        for case in seen:
+            self.assert_matches(*case)
+
+    def test_instance_stream(self):
+        from drainsched.instances import instance_stream
+
+        for inst in instance_stream(200):
+            params = OptParams(step_size=inst.step_size, cycles=50)
+            self.assert_matches(inst.weights, inst.constraints, params)
+
+
 class TestDiagnostics:
     def test_gap_bound_zero_step(self):
         _, c3 = theorem_gap_bound(0.0, 5, 10.0)
@@ -353,12 +384,13 @@ class TestDiagnostics:
         assert beta == 5.0
         assert c3 == 2.5
 
-    def test_suboptimality_bound_uses_theta_hat(self):
-        wv = WeightVector(w=np.ones(12), mu=np.full(12, 3.0), theta_hat=6.0)
-        diag = suboptimality_bound(OptParams(step_size=1e-4), wv)
+    def test_solver_bound_uses_theta_hat(self):
+        _, _, cons = two_flow_chain()
+        wv = WeightVector(w=np.ones(4), mu=np.full(4, 3.0), theta_hat=6.0)
+        _, diag = solve_review_optimization(wv, cons, OptParams(step_size=1e-4))
         assert diag.c2 == 18.0
-        assert diag.beta == pytest.approx(4 + 1 / 12)
-        assert diag.c3 == pytest.approx(1e-4 * (4 + 1 / 12) * 144 * 18.0**2 / 2)
+        assert diag.beta == pytest.approx(4 + 1 / 4)
+        assert diag.c3 == pytest.approx(1e-4 * (4 + 1 / 4) * 16 * 18.0**2 / 2)
 
 
 class TestPseudoDrainingTime:
