@@ -32,9 +32,8 @@ def draw_gains(
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(CHANNEL_STREAM, period))
     )
-    scales = np.array([scale_constant / spec.distance(l) ** 2 for l in spec.links])
-    amps = rng.rayleigh(scale=scales) if len(spec.links) else np.zeros(0)
-    return {link: float(a * a) for link, a in zip(spec.links, amps)}
+    scales = scale_constant / spec.squared_lengths
+    return {link: a * a for link, a in zip(spec.links, rng.rayleigh(scale=scales).tolist())}
 
 
 def fixed_gains(spec: NetworkSpec, gain: float) -> dict[Link, float]:
@@ -63,5 +62,24 @@ def compute_rate(gain: float, power: float = 1.0, noise: float = 1.0, base: str 
 def rate_table(
     gains: dict[Link, float], power: float = 1.0, noise: float = 1.0, base: str = "e"
 ) -> dict[Link, float]:
-    """Link rates in bits/slot for one period's power gains."""
-    return {link: compute_rate(g, power, noise, base) for link, g in gains.items()}
+    """Link rates in bits/slot for one period's power gains.
+
+    Each rate is compute_rate(gain, power, noise, base); the arguments shared
+    by every link are checked once.
+    """
+    if power <= 0:
+        raise ValueError(f"power must be > 0, got {power}")
+    if noise <= 0:
+        raise ValueError(f"noise must be > 0, got {noise}")
+    if base not in ("e", "2"):
+        raise ValueError(f"log base must be 'e' or '2', got {base!r}")
+    ln2 = math.log(2.0) if base == "2" else None
+    out = {}
+    for link, g in gains.items():
+        if g < 0:
+            raise ValueError(f"gain must be >= 0, got {g}")
+        rate = math.log1p(g * power / noise)
+        if ln2 is not None:
+            rate /= ln2
+        out[link] = rate
+    return out

@@ -103,6 +103,8 @@ def _cmd_preset(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if args.base_seed < 0:
+        raise ConfigError(f"--base-seed must be >= 0, got {args.base_seed}")
     try:
         base = OptParams(cycles=args.cycles)
     except ValueError as exc:

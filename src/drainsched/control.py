@@ -144,15 +144,15 @@ def build_slot_schedule(s, window: int, constraints: ConstraintSet) -> SlotSched
     """
     if window < 1:
         raise ValueError(f"window must be >= 1 slot, got {window}")
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=float).tolist()
     n = constraints.n_coords
     if len(s) != n:
         raise ValueError(f"schedule vector has {len(s)} coordinates, constraints {n}")
 
     quota = []
-    for k in range(n):
-        target = float(s[k]) * window
-        q = int(math.floor(target))
+    for v in s:
+        target = v * window
+        q = math.floor(target)
         if target - q > 0.5:
             q += 1
         quota.append(q)

@@ -196,7 +196,6 @@ class Simulation:
             self._streams.append((qpos[(fl.source, fl.destination)], fl.destination, counts))
 
         self._qbar = config.control.safety_stock_pkts
-        self._mu = [0.0] * nk
         self._fmu = [0] * nk
         self.t = 0
         self.t_prev = 0
@@ -235,16 +234,13 @@ class Simulation:
         rates = chan.rate_table(
             gains, cfg.channel.tx_power, cfg.channel.noise_power, cfg.channel.log_base
         )
-        nk = self.idx.n_coords
-        for k in range(nk):
-            r = rates[self._link_of[k]]
-            self._mu[k] = r
-            self._fmu[k] = int(r)
+        mu = [rates[link] for link in self._link_of]
+        self._fmu = [int(r) for r in mu]
 
         theta = update_qos_weights(self._qspecs, self._counters)
         qlen = self._qlen
-        w = [theta[self._f_of[k]] * qlen[self._qidx_of[k]] for k in range(nk)]
-        wv = WeightVector(w=np.array(w, dtype=float), mu=np.array(self._mu), theta_hat=self._theta_hat_max)
+        w = [theta[f] * qlen[qi] for f, qi in zip(self._f_of, self._qidx_of)]
+        wv = WeightVector(w=np.array(w, dtype=float), mu=np.array(mu), theta_hat=self._theta_hat_max)
         s, diag = solve_review_optimization(wv, self.constraints, cfg.optimizer)
 
         total_backlog = sum(qlen)
@@ -257,7 +253,7 @@ class Simulation:
 
         if self._collect:
             gap = None
-            if self._oracle_diag and nk <= ORACLE_DIAG_MAX_COORDS:
+            if self._oracle_diag and self.idx.n_coords <= ORACLE_DIAG_MAX_COORDS:
                 _, lp_best = oracle_solve(wv, self.constraints)
                 gap = lp_best - objective(s, wv)
             self.periods.append(

@@ -165,8 +165,11 @@ def run_experiment(
 
     Writes <preset>_runs.csv (one row per grid point, seed, and flow),
     <preset>_summary.csv (seed-averaged), and <preset>_summary.json.
-    Returns the process exit status (0 on completion).
+    Returns the process exit status (0 on completion). Raises ConfigError
+    when workers is below 1.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = build_grid(preset, config)
     seeds = tuple(int(s) for s in (seeds if seeds is not None else DEFAULT_SEEDS))
     out = Path(out_dir)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .control import QosSpec
 
@@ -204,6 +206,13 @@ class NetworkSpec:
         (x1, y1), (x2, y2) = self.positions[link[0]], self.positions[link[1]]
         return math.hypot(x1 - x2, y1 - y2)
 
+    @cached_property
+    def squared_lengths(self) -> np.ndarray:
+        """distance(link) ** 2 per link, in declared link order (read-only)."""
+        out = np.array([self.distance(l) ** 2 for l in self.links], dtype=float)
+        out.flags.writeable = False
+        return out
+
     def incident_links(self, node: int) -> tuple[int, ...]:
         return tuple(li for li, (i, j) in enumerate(self.links) if node in (i, j))
 
@@ -326,6 +335,11 @@ class ConstraintSet:
     masks: memberships as bitmasks (bit h set when halfspace h contains the
         coordinate); two coordinates conflict exactly when their masks share
         a bit.
+
+    The remaining derived views are the static data of the review path,
+    computed on first use and kept for the life of the set: the member
+    tuple of each halfspace, both projection divisors of each halfspace,
+    and per divisor mode the endpoint plan of every coordinate.
     """
 
     halfspaces: tuple[Halfspace, ...]
@@ -344,6 +358,48 @@ class ConstraintSet:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << hid for hid in ms) for ms in self.memberships)
+
+    @cached_property
+    def member_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Member coordinates of each halfspace, in halfspace order."""
+        return tuple(h.members for h in self.halfspaces)
+
+    @cached_property
+    def coordinate_divisors(self) -> tuple[float, ...]:
+        """1 / member count per halfspace: the exact orthogonal projection."""
+        return tuple(1.0 / len(m) for m in self.member_groups)
+
+    @cached_property
+    def link_divisors(self) -> tuple[float, ...]:
+        """1 / link count per halfspace (member count when none is recorded)."""
+        return tuple(
+            1.0 / (h.link_count if h.link_count else len(h.members)) for h in self.halfspaces
+        )
+
+    @cached_property
+    def coordinate_plan(self) -> tuple[tuple, ...]:
+        """Per-coordinate endpoint plan under the coordinate divisors."""
+        return self._endpoint_plan(self.coordinate_divisors)
+
+    @cached_property
+    def link_plan(self) -> tuple[tuple, ...]:
+        """Per-coordinate endpoint plan under the link divisors."""
+        return self._endpoint_plan(self.link_divisors)
+
+    def _endpoint_plan(self, divisors: tuple[float, ...]) -> tuple[tuple, ...]:
+        # (m1, d1, b1, m2, d2, b2) per coordinate: members, divisor and
+        # broadcast count (members - 1) of the tail and head halfspaces;
+        # m2 is None when both endpoints lie in one halfspace.
+        groups = self.member_groups
+        plan = []
+        for h1, h2 in self.endpoints:
+            m1 = groups[h1]
+            if h1 == h2:
+                plan.append((m1, divisors[h1], len(m1) - 1, None, 0.0, 0))
+            else:
+                m2 = groups[h2]
+                plan.append((m1, divisors[h1], len(m1) - 1, m2, divisors[h2], len(m2) - 1))
+        return tuple(plan)
 
 
 def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:

@@ -41,7 +41,8 @@ class WeightVector:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         if self.w.shape != self.mu.shape or self.w.ndim != 1:
             raise ValueError("w and mu must be 1-d vectors of equal length")
-        if (self.w < 0).any() or (self.mu < 0).any():
+        # fmin skips NaN, so this holds exactly when w or mu has a negative
+        if (np.fmin(self.w, self.mu) < 0).any():
             raise ValueError("weights and rates must be nonnegative")
         if self.theta_hat < 1.0:
             raise ValueError(f"theta_hat must be >= 1, got {self.theta_hat}")
@@ -162,16 +163,22 @@ def finalize_feasible(s, constraints: ConstraintSet) -> np.ndarray:
 
     Halfspaces are visited in their fixed construction order; dividing a
     member group by its sum can only lower other groups' sums, so a single
-    pass lands inside the polytope with every coordinate in [0, 1].
+    pass lands inside the polytope with every coordinate in [0, 1]. Accepts
+    any 1-d sequence of numbers and returns a new float ndarray.
     """
-    out = np.array(s, dtype=float, copy=True)
-    np.clip(out, 0.0, None, out=out)
-    for h in constraints.halfspaces:
-        idx = list(h.members)
-        total = float(out[idx].sum())
+    # Group sums run left to right from 0.0, as the solver's do; numpy sums
+    # fewer than 8 elements the same way (larger groups it sums pairwise).
+    # Builtin sum() is avoided: Python 3.12 made it compensated. The clamp
+    # maps -0.0 to 0.0 and keeps NaN, as np.clip does.
+    out = [0.0 if v <= 0.0 else v for v in map(float, s)]
+    for m in constraints.member_groups:
+        total = 0.0
+        for q in m:
+            total += out[q]
         if total > 1.0:
-            out[idx] /= total
-    return out
+            for q in m:
+                out[q] /= total
+    return np.array(out, dtype=float)
 
 
 def theorem_gap_bound(step_size: float, n_coords: int, c2: float) -> tuple[float, float]:
@@ -218,14 +225,16 @@ def solve_review_optimization(
     n = constraints.n_coords
     if weights.n_coords != n:
         raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
+    # c2 takes ndarray.max(): on rates of mixed-sign zeros the sign it returns
+    # depends on its vectorized reduction order, which no list loop matches.
     c2 = weights.theta_hat * float(weights.mu.max()) if n else 0.0
     beta, c3 = theorem_gap_bound(params.step_size, n, c2)
 
-    init = np.ones(n) if params.init_mode == "ones" else np.zeros(n)
+    s = [1.0 if params.init_mode == "ones" else 0.0] * n
     wmu = weights.w * weights.mu
-    if not wmu.any():
-        s = finalize_feasible(init, constraints)
-        return s, OptDiagnostics(
+    wmu_l = wmu.tolist()
+    if not any(wmu_l):
+        return finalize_feasible(s, constraints), OptDiagnostics(
             c2=c2,
             beta=beta,
             c3=c3,
@@ -235,80 +244,74 @@ def solve_review_optimization(
             excess_broadcasts=0,
         )
 
-    members = [list(h.members) for h in constraints.halfspaces]
-    if params.divisor_mode == "coordinates":
-        divisor = [1.0 / len(m) for m in members]
-    else:
-        divisor = [
-            1.0 / (h.link_count if h.link_count else len(h.members))
-            for h in constraints.halfspaces
-        ]
-    endpoints = constraints.endpoints
+    plan = (
+        constraints.link_plan if params.divisor_mode == "links" else constraints.coordinate_plan
+    )
     n_rep = params.projection_repeats
-    inc = [params.step_size * float(v) for v in wmu]
-    wmu_l = [float(v) for v in wmu]
-    s = [float(v) for v in init]
+    step = params.step_size
+    steps = [(k, step * v) + p for k, (v, p) in enumerate(zip(wmu_l, plan))]
     broadcasts = 0
     trace = []
 
     for _ in range(params.cycles):
-        for k in range(n):
-            s[k] += inc[k]
-            h1, h2 = endpoints[k]
-            m1 = members[h1]
+        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
+            s[k] += inc
             total1 = 0.0
             for q in m1:
                 total1 += s[q]
-            if h1 == h2:
+            if m2 is None:
                 if total1 > 1.0:
-                    d = (total1 - 1.0) * divisor[h1]
+                    d = (total1 - 1.0) * d1
                     for q in m1:
                         s[q] -= d
-                    broadcasts += len(m1) - 1
+                    broadcasts += b1
                 continue
-            m2 = members[h2]
             total2 = 0.0
             for q in m2:
                 total2 += s[q]
-            if total1 > 1.0 and total2 > 1.0:
-                for _rep in range(n_rep):
-                    changed = False
-                    total1 = 0.0
-                    for q in m1:
-                        total1 += s[q]
-                    if total1 > 1.0:
-                        d = (total1 - 1.0) * divisor[h1]
-                        for q in m1:
-                            s[q] -= d
-                        broadcasts += len(m1) - 1
-                        changed = True
-                    total2 = 0.0
-                    for q in m2:
-                        total2 += s[q]
-                    if total2 > 1.0:
-                        d = (total2 - 1.0) * divisor[h2]
+            if total1 > 1.0:
+                if total2 > 1.0:
+                    # Both violated: alternate. Each pass projects onto
+                    # whichever of the two is still violated, re-summing
+                    # after every projection.
+                    for _rep in range(n_rep):
+                        changed = False
+                        if total1 > 1.0:
+                            d = (total1 - 1.0) * d1
+                            for q in m1:
+                                s[q] -= d
+                            broadcasts += b1
+                            changed = True
+                        total2 = 0.0
                         for q in m2:
-                            s[q] -= d
-                        broadcasts += len(m2) - 1
-                        changed = True
-                    if not changed:
-                        break
-            elif total1 > 1.0:
-                d = (total1 - 1.0) * divisor[h1]
-                for q in m1:
-                    s[q] -= d
-                broadcasts += len(m1) - 1
+                            total2 += s[q]
+                        if total2 > 1.0:
+                            d = (total2 - 1.0) * d2
+                            for q in m2:
+                                s[q] -= d
+                            broadcasts += b2
+                            changed = True
+                        if not changed:
+                            break
+                        total1 = 0.0
+                        for q in m1:
+                            total1 += s[q]
+                else:
+                    d = (total1 - 1.0) * d1
+                    for q in m1:
+                        s[q] -= d
+                    broadcasts += b1
             elif total2 > 1.0:
-                d = (total2 - 1.0) * divisor[h2]
+                d = (total2 - 1.0) * d2
                 for q in m2:
                     s[q] -= d
-                broadcasts += len(m2) - 1
+                broadcasts += b2
         obj = 0.0
-        for k in range(n):
-            obj += wmu_l[k] * s[k]
+        for v, x in zip(wmu_l, s):
+            obj += v * x
         trace.append(obj)
 
-    out = finalize_feasible(np.array(s), constraints)
+    out = finalize_feasible(s, constraints)
     return out, OptDiagnostics(
         c2=c2,
         beta=beta,

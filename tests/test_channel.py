@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from drainsched.channel import compute_rate, draw_gains, fixed_gains, rate_table
+from drainsched import channel
+from drainsched.channel import CHANNEL_STREAM, compute_rate, draw_gains, fixed_gains, rate_table
 from drainsched.network import ConfigError, NetworkSpec
 
 
@@ -92,3 +93,87 @@ class TestRateTable:
         seq1 = [draw_gains(net, p, seed=9) for p in range(20)]
         seq2 = [draw_gains(net, p, seed=9) for p in range(20)]
         assert seq1 == seq2
+
+
+def numpy_draw_gains(spec, period, seed, scale_constant=1.0):
+    """draw_gains as written before it read the cached squared lengths; the
+    bitwise reference."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(CHANNEL_STREAM, period))
+    )
+    scales = np.array([scale_constant / spec.distance(l) ** 2 for l in spec.links])
+    amps = rng.rayleigh(scale=scales) if len(spec.links) else np.zeros(0)
+    return {link: float(a * a) for link, a in zip(spec.links, amps)}
+
+
+def per_link_rate_table(gains, power=1.0, noise=1.0, base="e"):
+    """rate_table as written before it checked the shared arguments once."""
+    return {link: compute_rate(g, power, noise, base) for link, g in gains.items()}
+
+
+def bits(table):
+    """Keys in order and the exact bytes of the values."""
+    return list(table), np.array(list(table.values()), dtype=float).tobytes()
+
+
+class TestMatchesNumpyReference:
+    def test_mesh10_reviews(self, monkeypatch):
+        from drainsched.engine import run_simulation
+        from drainsched.experiments import bundled_preset_config
+
+        draws, tables = [], []
+        draw, table = channel.draw_gains, channel.rate_table
+
+        def recording_draw(*args):
+            draws.append(args)
+            return draw(*args)
+
+        def recording_table(*args):
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(channel, "draw_gains", recording_draw)
+        monkeypatch.setattr(channel, "rate_table", recording_table)
+        run_simulation(bundled_preset_config(), horizon=3000, seed=1)
+        assert len(draws) == len(tables) > 100
+        for args in draws:
+            assert bits(draw(*args)) == bits(numpy_draw_gains(*args))
+        for args in tables:
+            assert bits(table(*args)) == bits(per_link_rate_table(*args))
+
+    @pytest.mark.parametrize("scale_constant", [1.0, 0.37, 12.5])
+    def test_draw_gains_other_seeds_and_scales(self, scale_constant):
+        net = parallel_links_net(7, dx=0.23)
+        for seed in (0, 5, 2**40):
+            for period in (0, 1, 999):
+                assert bits(draw_gains(net, period, seed, scale_constant)) == bits(
+                    numpy_draw_gains(net, period, seed, scale_constant)
+                )
+
+    def test_draw_gains_without_links(self):
+        net = NetworkSpec(positions=((0.0, 0.0),), links=(), flows=())
+        assert draw_gains(net, 0, 1) == numpy_draw_gains(net, 0, 1) == {}
+
+    @pytest.mark.parametrize("power, noise, base", [
+        (1.0, 1.0, "e"), (2.5, 0.3, "e"), (1.0, 1.0, "2"), (0.7, 1.9, "2"),
+    ])
+    def test_rate_table_edge_gains(self, power, noise, base):
+        values = [0.0, -0.0, float("nan"), float("inf"), 1e-300, 1e300, 3.0, math.e - 1.0]
+        gains = {(i, i + 1): g for i, g in enumerate(values)}
+        assert bits(rate_table(gains, power, noise, base)) == bits(
+            per_link_rate_table(gains, power, noise, base)
+        )
+
+    def test_rate_table_rejects_bad_input(self):
+        gains = {(0, 1): 1.0, (1, 2): -1e-12}
+        with pytest.raises(ValueError, match="gain must be >= 0"):
+            rate_table(gains)
+        for kwargs in ({"power": 0.0}, {"noise": -1.0}, {"base": "10"}):
+            with pytest.raises(ValueError):
+                rate_table({(0, 1): 1.0}, **kwargs)
+
+    def test_squared_lengths_are_read_only(self):
+        net = parallel_links_net(3, dx=0.5)
+        assert net.squared_lengths.tolist() == [0.25, 0.25, 0.25]
+        with pytest.raises(ValueError):
+            net.squared_lengths[0] = 1.0

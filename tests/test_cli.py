@@ -84,6 +84,14 @@ class TestPresetCommand:
         assert (out / "custom_runs.csv").exists()
         assert (out / "custom_summary.json").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "exp"
+        status = main(["preset", "table1", "--out", str(out), "--workers", workers])
+        assert status == 1
+        assert f"config error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCheckCommand:
     def test_oracle_check_passes(self, capsys):
@@ -94,7 +102,7 @@ class TestOracleCheckCommand:
         assert "failures 0" in out
 
     @pytest.mark.parametrize("override", [
-        ["--cycles", "0"], ["--instances", "0"], ["--instances", "-3"],
+        ["--cycles", "0"], ["--instances", "0"], ["--instances", "-3"], ["--base-seed", "-1"],
     ])
     def test_bad_override_is_config_error(self, capsys, override):
         status = main(["oracle-check"] + override)

@@ -1,8 +1,10 @@
-"""Byte-identity of the JSON export on two pinned runs.
+"""Byte-identity of the JSON export on pinned runs.
 
-The digests are those recorded in perfbench/golden.json. A refactor that
-keeps every answer must keep both; a change that alters an answer must say
-so and update both places.
+The mesh10 and longwin digests are those recorded in perfbench/golden.json;
+the links-divisor and fixed-gain runs cover optimizer and channel paths the
+benchmark never takes. A refactor that keeps every answer must keep all of
+them; a change that alters an answer must say so and update every place that
+records the digest.
 """
 
 import hashlib
@@ -33,12 +35,28 @@ def longwin_config():
     return replace(cfg, control=replace(cfg.control, a1=8.0))
 
 
+def links_divisor_config():
+    """mesh10 with optimizer.projection_divisor = links."""
+    cfg = bundled_preset_config()
+    return replace(cfg, optimizer=replace(cfg.optimizer, divisor_mode="links"))
+
+
+def fixed_gain_config():
+    """mesh10 with channel.gain_model = fixed and fixed_gain = 4."""
+    cfg = bundled_preset_config()
+    return replace(cfg, channel=replace(cfg.channel, gain_model="fixed", fixed_gain=4.0))
+
+
 @pytest.mark.parametrize("build, horizon, sha256", [
     (bundled_preset_config, 10_000,
      "06f675f70e0ca2929650ec7d496cdbc67f43b968e7ff870e4f20105294fd23bd"),
     (longwin_config, 30_000,
      "21a74aa72beaa07af6115c24467998ac5025fe08045e70e5a5d5f685e0e70a9f"),
-], ids=["mesh10", "mesh10-longwin-deadline"])
+    (links_divisor_config, 2_000,
+     "79ca4dd743eeb9ec4efbbc2dfeb528fca99ab5538bdee09ea651b0a33ec8cba2"),
+    (fixed_gain_config, 2_000,
+     "4b43efe8ca44b0b6aa6e4ef369aa4ff85db3d684745a2980033da10a6dbb0f71"),
+], ids=["mesh10", "mesh10-longwin-deadline", "mesh10-links-divisor", "mesh10-fixed-gain"])
 def test_json_export_digest(tmp_path, build, horizon, sha256):
     path = tmp_path / "metrics.json"
     export_metrics(run_simulation(build(), horizon=horizon, seed=1), "json", path)

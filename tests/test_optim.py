@@ -265,6 +265,125 @@ class TestFinalizeFeasible:
             assert np.allclose(twice, once, rtol=0, atol=1e-12)
 
 
+def numpy_finalize_feasible(s, constraints):
+    """finalize_feasible as written with numpy fancy indexing before it ran
+    on plain lists; the bitwise reference for the list version."""
+    out = np.array(s, dtype=float, copy=True)
+    np.clip(out, 0.0, None, out=out)
+    for h in constraints.halfspaces:
+        idx = list(h.members)
+        total = float(out[idx].sum())
+        if total > 1.0:
+            out[idx] /= total
+    return out
+
+
+def assert_same_bits(got, want):
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFinalizeMatchesNumpyReference:
+    """finalize_feasible must give exactly the bits of the numpy version."""
+
+    def test_mesh10_reviews(self, monkeypatch):
+        from drainsched import engine, optim
+        from drainsched.experiments import bundled_preset_config
+
+        seen = []
+        finalize = optim.finalize_feasible
+
+        def recording(s, constraints):
+            seen.append((list(s), constraints))
+            return finalize(s, constraints)
+
+        monkeypatch.setattr(optim, "finalize_feasible", recording)
+        engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
+        assert len(seen) > 100
+        for s, cons in seen:
+            assert_same_bits(finalize(s, cons), numpy_finalize_feasible(s, cons))
+
+    def test_instance_stream(self, monkeypatch):
+        from drainsched import optim
+        from drainsched.instances import instance_stream
+
+        seen = []
+        finalize = optim.finalize_feasible
+
+        def recording(s, constraints):
+            seen.append((list(s), constraints))
+            return finalize(s, constraints)
+
+        monkeypatch.setattr(optim, "finalize_feasible", recording)
+        rng = np.random.default_rng(41)
+        for inst in instance_stream(200):
+            params = OptParams(step_size=inst.step_size, cycles=50)
+            solve_review_optimization(inst.weights, inst.constraints, params)
+            for _ in range(5):
+                seen.append((rng.uniform(-1.5, 3.0, inst.idx.n_coords), inst.constraints))
+        assert len(seen) == 1200
+        rescaled = 0
+        for s, cons in seen:
+            want = numpy_finalize_feasible(s, cons)
+            assert_same_bits(finalize(s, cons), want)
+            rescaled += not np.array_equal(want, np.clip(s, 0.0, None))
+        assert rescaled > 500
+
+    @pytest.mark.parametrize("s", [
+        [-0.5, 0.25, 0.5, -1e-300],
+        [-0.0, -0.0, 0.7, -0.0],
+        [float("nan"), 0.5, 0.75, 0.2],
+        [0.25, 0.5, 0.5, 0.25],
+        [0.25, 0.5, 0.5000000000000001, 0.25],
+        [float("inf"), 0.5, 0.5, 0.1],
+        [2, 1, 0, 3],
+    ], ids=["negatives", "negative-zero", "nan", "sums-exactly-one", "just-above-one",
+            "inf", "ints"])
+    def test_edge_inputs(self, s):
+        _, _, cons = two_flow_chain()  # halfspaces (0, 1, 3) and (1, 2)
+        with np.errstate(invalid="ignore"):  # inf / inf
+            want = numpy_finalize_feasible(s, cons)
+        for form in (s, tuple(s), np.array(s)):
+            assert_same_bits(finalize_feasible(form, cons), want)
+
+    def test_empty_sequence(self):
+        from drainsched.network import ConstraintSet
+
+        empty = ConstraintSet(halfspaces=(), endpoints=(), memberships=(), n_coords=0)
+        assert_same_bits(finalize_feasible([], empty), numpy_finalize_feasible([], empty))
+
+    def test_input_not_modified(self):
+        _, _, cons = two_flow_chain()
+        s = [0.9, 0.9, 0.9, -0.1]
+        finalize_feasible(s, cons)
+        assert s == [0.9, 0.9, 0.9, -0.1]
+
+
+class TestCachedPlan:
+    def test_divisor_modes_do_not_share_a_plan(self):
+        from drainsched.experiments import bundled_preset_config
+
+        spec = bundled_preset_config().network
+        idx = build_link_flow_index(spec)
+        shared = build_constraints(idx, spec)
+        rng = np.random.default_rng(3)
+        wv = WeightVector(w=rng.uniform(0, 50, idx.n_coords),
+                          mu=rng.uniform(0.5, 4.0, idx.n_coords))
+        got = {}
+        for mode in ("coordinates", "links", "coordinates"):
+            params = OptParams(divisor_mode=mode)
+            s, diag = solve_review_optimization(wv, shared, params)
+            fresh_s, fresh_diag = solve_review_optimization(
+                wv, build_constraints(idx, spec), params
+            )
+            assert s.tobytes() == fresh_s.tobytes()
+            assert diag == fresh_diag
+            got.setdefault(mode, s)
+        assert got["coordinates"].tobytes() != got["links"].tobytes()
+
+
 class TestSolveReviewOptimization:
     def test_zero_weights_return_finalized_init(self):
         _, idx, cons = two_flow_chain()
