@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
@@ -33,12 +34,12 @@ class ChannelParams:
     fixed_gain: float | None = None
 
     def __post_init__(self):
-        if self.rayleigh_scale_constant <= 0:
-            raise ConfigError("channel.rayleigh_scale_constant must be > 0")
-        if self.noise_power <= 0:
-            raise ConfigError("channel.noise_power must be > 0")
-        if self.tx_power <= 0:
-            raise ConfigError("channel.tx_power must be > 0")
+        if not 0 < self.rayleigh_scale_constant < math.inf:
+            raise ConfigError("channel.rayleigh_scale_constant must be finite and > 0")
+        if not 0 < self.noise_power < math.inf:
+            raise ConfigError("channel.noise_power must be finite and > 0")
+        if not 0 < self.tx_power < math.inf:
+            raise ConfigError("channel.tx_power must be finite and > 0")
         if self.log_base not in ("e", "2"):
             raise ConfigError(f"channel.log_base must be 'e' or '2', got {self.log_base!r}")
         if self.gain_model not in ("rayleigh", "fixed"):
@@ -46,8 +47,10 @@ class ChannelParams:
                 f"channel.gain_model must be 'rayleigh' or 'fixed', got {self.gain_model!r}"
             )
         if self.gain_model == "fixed":
-            if self.fixed_gain is None or self.fixed_gain < 0:
-                raise ConfigError("channel.fixed_gain must be >= 0 when gain_model is 'fixed'")
+            if self.fixed_gain is None or not 0 <= self.fixed_gain < math.inf:
+                raise ConfigError(
+                    "channel.fixed_gain must be finite and >= 0 when gain_model is 'fixed'"
+                )
         elif self.fixed_gain is not None:
             raise ConfigError("channel.fixed_gain only applies when gain_model is 'fixed'")
 
@@ -129,7 +132,13 @@ def _get(mapping: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:

@@ -5,8 +5,11 @@ redraw the channel, recompute priority weights, solve the schedule
 optimization, build the slot schedule for the next window), exogenous
 arrivals, then service. Packets are one bit; a scheduled link moves up to
 floor(rate) head-of-line packets per slot, never taking a queue below its
-safety stock. Queue entries store only the packet's creation slot; the flow
-and current node are the queue's key.
+safety stock. Each queue is a run-length FIFO of (creation slot, count)
+buckets; the flow and current node are the queue's key. Packets of one bucket
+cannot be told apart, so the packet phase costs O(buckets) per slot, not
+O(packets), and a queue grows by at most one bucket per push, not by one
+entry per packet.
 
 With invariant checking enabled the engine verifies, every slot, the exact
 queue bookkeeping identity (arrivals + receptions - transmissions), the
@@ -17,9 +20,10 @@ actually transmitted.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -113,6 +117,17 @@ def _int_keys(d: dict) -> dict:
     return {int(k): v for k, v in d.items()}
 
 
+def _push(born: deque[int], count: deque[int], runs: Iterable[tuple[int, int]]) -> None:
+    """Append (creation slot, count) runs to the tail of a bucket queue; a
+    run merges into the tail bucket when their creation slots are equal."""
+    for slot, n in runs:
+        if born and born[-1] == slot:
+            count[-1] += n
+        else:
+            born.append(slot)
+            count.append(n)
+
+
 def flow_statistics(report: MetricsReport, flow_id: int) -> tuple[float | None, float | None]:
     """(mean delay, drop ratio) of one flow; None marks zero deliveries."""
     if flow_id not in report.flows:
@@ -160,7 +175,9 @@ class Simulation:
         ]
 
         nq = len(self._qkeys)
-        self._queues: list[deque[int]] = [deque() for _ in range(nq)]
+        # Queue qi is the FIFO of buckets zip(born[qi], count[qi]).
+        self._born: list[deque[int]] = [deque() for _ in range(nq)]
+        self._count: list[deque[int]] = [deque() for _ in range(nq)]
         self._qlen = [0] * nq
         self._qsum = [0] * nq
         self._arr_cum = [0] * nq
@@ -214,7 +231,7 @@ class Simulation:
         """
         qi = self._qkeys.index((node, flow_id))
         created = [int(c) for c in created_slots]
-        self._queues[qi].extend(created)
+        _push(self._born[qi], self._count[qi], [(slot, 1) for slot in created])
         self._qlen[qi] += len(created)
         self._arr_cum[qi] += len(created)
         self._created[flow_id] += len(created)
@@ -291,12 +308,13 @@ class Simulation:
         if t == self.t_rev:
             self._review(t)
 
-        queues = self._queues
+        born = self._born
+        count = self._count
         qlen = self._qlen
         for qi, fid, counts in self._streams:
             n_new = int(counts[t])
             if n_new:
-                queues[qi].extend(repeat(t, n_new))
+                _push(born[qi], count[qi], ((t, n_new),))
                 qlen[qi] += n_new
                 self._created[fid] += n_new
                 self._arr_cum[qi] += n_new
@@ -305,7 +323,7 @@ class Simulation:
         if active:
             qbar = self._qbar
             fmu = self._fmu
-            stage: list[tuple[int, int]] = []
+            stage: list[tuple[int, int, list[tuple[int, int]]]] = []
             txmask = 0
             for k in active:
                 qi = self._qidx_of[k]
@@ -317,23 +335,40 @@ class Simulation:
                     n_mv = avail
                 if n_mv <= 0:
                     continue
-                dq = queues[qi]
                 if self._deliver[k]:
                     fid = self._f_of[k]
                     c = self._counters[fid]
                     hist = self._hist[fid]
                     deadline = self._deadline[fid]
-                    for _ in range(n_mv):
-                        d = t - dq.popleft()
-                        c.delivered += 1
-                        c.delay_sum += d
-                        if deadline is not None and d > deadline:
-                            c.late += 1
-                        hist[d] = hist.get(d, 0) + 1
+                    c.delivered += n_mv
+                    runs = None
                 else:
-                    rq = self._rxq_of[k]
-                    for _ in range(n_mv):
-                        stage.append((rq, dq.popleft()))
+                    runs = []
+                    stage.append((self._rxq_of[k], n_mv, runs))
+                # Drain n_mv packets from the head; only the head bucket is
+                # ever split. Each (creation slot, n) piece is delivered as a
+                # whole or staged for the next hop.
+                b = born[qi]
+                cn = count[qi]
+                rem = n_mv
+                while rem:
+                    n = cn[0]
+                    if n > rem:
+                        cn[0] = n - rem
+                        slot = b[0]
+                        n = rem
+                    else:
+                        cn.popleft()
+                        slot = b.popleft()
+                    rem -= n
+                    if runs is None:
+                        d = t - slot
+                        c.delay_sum += d * n
+                        if deadline is not None and d > deadline:
+                            c.late += n
+                        hist[d] = hist.get(d, 0) + n
+                    else:
+                        runs.append((slot, n))
                 qlen[qi] -= n_mv
                 self._tx_cum[qi] += n_mv
                 if self._check:
@@ -341,14 +376,12 @@ class Simulation:
                     if txmask & m:
                         self.interference_violations += 1
                     txmask |= m
-            for rq, created_at in stage:
-                queues[rq].append(created_at)
-                qlen[rq] += 1
-                self._rx_cum[rq] += 1
+            for rq, n_mv, runs in stage:
+                _push(born[rq], count[rq], runs)
+                qlen[rq] += n_mv
+                self._rx_cum[rq] += n_mv
 
-        qsum = self._qsum
-        for qi in range(len(qlen)):
-            qsum[qi] += qlen[qi]
+        self._qsum = list(map(operator.add, self._qsum, qlen))
 
         if self._check:
             for qi in range(len(qlen)):

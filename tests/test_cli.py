@@ -67,6 +67,18 @@ class TestRunCommand:
         assert status == 1
         assert "config error: run." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("channel, key", [
+        ("{gain_model: fixed, fixed_gain: .nan}", "channel.fixed_gain"),
+        ("{gain_model: fixed, fixed_gain: 4.0, noise_power: .inf}", "channel.noise_power"),
+        ("{gain_model: fixed, fixed_gain: 4.0, tx_power: .inf}", "channel.tx_power"),
+    ])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, channel, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SMALL_YAML.replace("{gain_model: fixed, fixed_gain: 4.0}", channel))
+        status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+        assert status == 1
+        assert f"config error: {key}: expected a finite number" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code_2(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),
                        "--out", str(tmp_path)])

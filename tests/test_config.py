@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import pytest
 
 from drainsched.config import load_config, parse_config
@@ -77,6 +80,26 @@ control:
         doc = MINIMAL + "\nchannel: {noise_power: loud}\n"
         with pytest.raises(ConfigError, match="channel.noise_power"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("value", [".nan", "-.inf", "1" + "0" * 400])
+    def test_non_finite_number_named(self, value):
+        doc = MINIMAL + f"\ncontrol: {{a1: {value}}}\n"
+        with pytest.raises(ConfigError, match="control.a1: expected a finite number"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tx_power", math.inf),
+        ("noise_power", math.nan),
+        ("rayleigh_scale_constant", math.inf),
+        ("fixed_gain", math.nan),
+    ])
+    def test_non_finite_channel_value_named(self, field, value):
+        # dataclasses.replace skips the YAML parser; the channel checks still apply
+        channel = parse_config(MINIMAL).channel
+        if field == "fixed_gain":
+            channel = replace(channel, gain_model="fixed", fixed_gain=1.0)
+        with pytest.raises(ConfigError, match=f"channel.{field} must be finite"):
+            replace(channel, **{field: value})
 
     def test_fixed_gain_requires_fixed_model(self):
         doc = MINIMAL + "\nchannel: {fixed_gain: 1.0}\n"

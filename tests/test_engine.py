@@ -1,4 +1,5 @@
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,63 @@ control:
     2: {kind: hard_deadline, deadline_slots: 180, drop_ratio_target: 0.02}
 run: {horizon_slots: 400, seeds: [1]}
 """
+
+
+DEADLINE_LINK_YAML = """
+network:
+  nodes: [[0.0, 0.0], [0.5, 0.0]]
+  links: [[0, 1]]
+  flows:
+    - {source: 0, destination: 1, rate_pkts_per_slot: 0.0, routes: [[0, 1]]}
+channel: {gain_model: fixed, fixed_gain: 8.0}
+control:
+  safety_stock_pkts: 0
+  qos:
+    1: {kind: hard_deadline, deadline_slots: 7, drop_ratio_target: 0.02}
+run: {horizon_slots: 100, seeds: [1]}
+"""
+
+
+def packets(sim, qi):
+    """Creation slots of queue qi, one entry per packet, head first."""
+    return [b for b, n in zip(sim._born[qi], sim._count[qi]) for _ in range(n)]
+
+
+def step_against_per_packet_reference(sim, forward, slots):
+    """Step sim and a per-packet deque model of it side by side.
+
+    The reference moves as many packets per queue as the engine transmitted
+    (tx_cum delta), one popleft each, FIFO; queue qi forwards to forward[qi]
+    or delivers when absent. Every slot the engine's buckets, expanded, must
+    equal the reference queues; the delivery statistics are returned.
+    """
+    ref = [deque(packets(sim, qi)) for qi in range(len(sim._qkeys))]
+    deadline = sim._deadline
+    stats = {fid: {"delivered": 0, "delay_sum": 0, "late": 0, "hist": {}}
+             for fid in sim._flow_ids}
+    for _ in range(slots):
+        t = sim.t
+        tx_before = list(sim._tx_cum)
+        sim.step()
+        staged = []
+        for qi, (_, fid) in enumerate(sim._qkeys):
+            for _ in range(sim._tx_cum[qi] - tx_before[qi]):
+                created = ref[qi].popleft()
+                if qi in forward:
+                    staged.append((forward[qi], created))
+                    continue
+                d = t - created
+                st = stats[fid]
+                st["delivered"] += 1
+                st["delay_sum"] += d
+                st["late"] += deadline[fid] is not None and d > deadline[fid]
+                st["hist"][d] = st["hist"].get(d, 0) + 1
+        for rq, created in staged:
+            ref[rq].append(created)
+        for qi in range(len(ref)):
+            assert packets(sim, qi) == list(ref[qi])
+            assert sim._qlen[qi] == len(ref[qi])
+    return stats
 
 
 def single_queue_oracle(lam, horizon, seed):
@@ -126,6 +184,70 @@ class TestStepSlot:
         sim.inject(0, 1, [0])
         sim.step()
         assert sim.report().flows[1].histogram == {0: 1}
+
+
+class TestBucketQueues:
+    def test_non_monotone_inject_matches_per_packet_reference(self):
+        cfg = parse_config(DEADLINE_LINK_YAML)
+        sim = Simulation(cfg, seed=1)
+        sim.t = 10
+        sim.t_rev = 10
+        sim.inject(0, 1, [4, 4, 2, 4, 3, 3, 3, 9])
+        assert list(zip(sim._born[0], sim._count[0])) == [(4, 2), (2, 1), (4, 1), (3, 3), (9, 1)]
+        stats = step_against_per_packet_reference(sim, forward={}, slots=6)
+        fm = sim.report().flows[1]
+        assert fm.delivered == stats[1]["delivered"] == 8
+        assert fm.delay_sum == stats[1]["delay_sum"]
+        assert fm.late == stats[1]["late"] > 0
+        assert fm.histogram == dict(sorted(stats[1]["hist"].items()))
+
+    def test_head_bucket_split_across_slots(self):
+        # floor(ln 9) = 2 packets per slot drain one bucket of 5 over 3 slots
+        cfg = single_link_config(rate=0.0, gain=8.0, stock=0, horizon=20)
+        sim = Simulation(cfg, seed=1)
+        sim.inject(0, 1, [0] * 5 + [1])
+        heads = []
+        for _ in range(4):
+            sim.step()
+            heads.append(list(zip(sim._born[0], sim._count[0])))
+        assert heads == [[(0, 3), (1, 1)], [(0, 1), (1, 1)], [], []]
+        assert sim.report().flows[1].histogram == {0: 2, 1: 3, 2: 1}
+
+    def test_forwarded_bucket_merges_into_downstream_tail(self):
+        cfg = parse_config(TWO_HOP_YAML)
+        sim = Simulation(cfg, seed=1)
+        sim.inject(0, 2, [0] * 6 + [1] * 6)
+        sim.inject(1, 2, [0] * 12)
+        # queue 0 is node 0 (forwards to node 1), queue 1 is node 1 (delivers)
+        assert sim._qkeys == [(0, 2), (1, 2)]
+        stats = step_against_per_packet_reference(sim, forward={0: 1}, slots=15)
+        # 12 packets forwarded in 2-packet buckets, each merged into the tail
+        assert sim._rx_cum[1] == 12
+        assert list(zip(sim._born[1], sim._count[1])) == [(0, 2), (1, 6)]
+        fm = sim.report().flows[2]
+        assert fm.delivered == stats[2]["delivered"] == 16
+        assert fm.delay_sum == stats[2]["delay_sum"]
+        assert fm.histogram == dict(sorted(stats[2]["hist"].items()))
+
+    def test_overloaded_mesh_holds_buckets_not_packets(self):
+        # Arrivals x3 exceed capacity: the backlog grows with every slot, but
+        # a queue gains at most one bucket per creation slot pushed to it.
+        cfg = bundled_preset_config()
+        flows = tuple(replace(fl, arrival_rate=3 * fl.arrival_rate) for fl in cfg.network.flows)
+        cfg = replace(cfg, network=replace(cfg.network, flows=flows))
+        sim = Simulation(cfg, seed=1, horizon=3000, check_invariants=True,
+                         collect_periods=False)
+        rep = sim.run()
+        assert rep.conservation_violations == 0
+        assert rep.interference_violations == 0
+        for qi in range(len(sim._qkeys)):
+            born = list(sim._born[qi])
+            assert sum(sim._count[qi]) == sim._qlen[qi]
+            assert len(born) <= sim.t
+            # pushes merge into an equal tail, so neighbours never share a slot
+            assert all(a != b for a, b in zip(born, born[1:]))
+        buckets = sum(len(born) for born in sim._born)
+        assert sum(sim._qlen) > 5 * buckets
 
 
 class TestRunSimulation:
