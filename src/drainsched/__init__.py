@@ -14,7 +14,6 @@ from .config import (
     with_run,
 )
 from .control import (
-    QosCounters,
     QosSpec,
     SlotSchedule,
     build_slot_schedule,

@@ -63,12 +63,14 @@ class ControlParams:
     theta_hat_default: float = 2.0
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0:
-            raise ConfigError("control.a1 and control.a2 must be > 0")
-        if self.safety_stock_pkts < 0:
-            raise ConfigError("control.safety_stock_pkts must be >= 0")
-        if self.theta_hat_default <= 1.0:
-            raise ConfigError("control.theta_hat_default must be > 1")
+        if not 0 < self.a1 < math.inf:
+            raise ConfigError("control.a1 must be finite and > 0")
+        if not 0 < self.a2 < math.inf:
+            raise ConfigError("control.a2 must be finite and > 0")
+        if not 0 <= self.safety_stock_pkts < math.inf:
+            raise ConfigError("control.safety_stock_pkts must be finite and >= 0")
+        if not 1.0 < self.theta_hat_default < math.inf:
+            raise ConfigError("control.theta_hat_default must be finite and > 1")
 
 
 @dataclass(frozen=True)

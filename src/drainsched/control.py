@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .network import ConfigError, ConstraintSet
+
+if TYPE_CHECKING:
+    from .engine import FlowMetrics
 
 QOS_KINDS = ("mean_delay", "hard_deadline")
 
@@ -40,35 +43,20 @@ class QosSpec:
     def __post_init__(self):
         if self.kind not in QOS_KINDS:
             raise ConfigError(f"qos.kind must be one of {QOS_KINDS}, got {self.kind!r}")
-        if self.theta_hat <= 1.0:
-            raise ConfigError(f"qos.theta_hat must be > 1, got {self.theta_hat}")
+        if not 1.0 < self.theta_hat < math.inf:
+            raise ConfigError(f"qos.theta_hat must be finite and > 1, got {self.theta_hat}")
         if self.kind == "mean_delay":
-            if self.target_slots is None or self.target_slots <= 0:
-                raise ConfigError("qos: mean_delay requires target_slots > 0")
+            if self.target_slots is None or not 0 < self.target_slots < math.inf:
+                raise ConfigError("qos: mean_delay requires a finite target_slots > 0")
             if self.deadline_slots is not None or self.drop_ratio_target is not None:
                 raise ConfigError("qos: mean_delay takes only target_slots")
         else:
-            if self.deadline_slots is None or self.deadline_slots <= 0:
-                raise ConfigError("qos: hard_deadline requires deadline_slots > 0")
+            if self.deadline_slots is None or not 0 < self.deadline_slots < math.inf:
+                raise ConfigError("qos: hard_deadline requires a finite deadline_slots > 0")
             if self.drop_ratio_target is None or not 0 < self.drop_ratio_target < 1:
                 raise ConfigError("qos: hard_deadline requires drop_ratio_target in (0, 1)")
             if self.target_slots is not None:
                 raise ConfigError("qos: hard_deadline takes no target_slots")
-
-
-@dataclass
-class QosCounters:
-    """Cumulative destination-side statistics of one flow."""
-
-    delivered: int = 0
-    delay_sum: int = 0
-    late: int = 0
-
-    def mean_delay(self) -> float | None:
-        return self.delay_sum / self.delivered if self.delivered else None
-
-    def late_fraction(self) -> float | None:
-        return self.late / self.delivered if self.delivered else None
 
 
 def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 1.0) -> int:
@@ -86,11 +74,12 @@ def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 
 
 
 def update_qos_weights(
-    specs: Mapping[int, QosSpec | None], counters: Mapping[int, QosCounters]
+    specs: Mapping[int, QosSpec | None], flows: Mapping[int, FlowMetrics]
 ) -> dict[int, float]:
     """Priority weight per flow from destination statistics only.
 
-    A flow weighs theta_hat while its requirement is strictly violated
+    Reads delivered, delay_sum and late of each flow's FlowMetrics. A flow
+    weighs theta_hat while its requirement is strictly violated
     (empirical mean delay above target, or late fraction above the drop
     target). Flows without a requirement, or without any delivery yet,
     weigh 1.
@@ -98,7 +87,7 @@ def update_qos_weights(
     out: dict[int, float] = {}
     for fid in sorted(specs):
         spec = specs[fid]
-        c = counters.get(fid)
+        c = flows.get(fid)
         if spec is None or c is None or c.delivered == 0:
             out[fid] = 1.0
         elif spec.kind == "mean_delay":

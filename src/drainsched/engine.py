@@ -23,13 +23,13 @@ import json
 import operator
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import channel as chan
 from .config import RunParams, SimConfig
-from .control import QosCounters, build_slot_schedule, next_review_time, update_qos_weights
+from .control import build_slot_schedule, next_review_time, update_qos_weights
 from .network import build_constraints, build_link_flow_index
 from .optim import WeightVector, objective, solve_review_optimization
 from .oracle import oracle_solve
@@ -40,6 +40,13 @@ ORACLE_DIAG_MAX_COORDS = 8  # per-review oracle gaps only for small coordinate s
 
 @dataclass
 class FlowMetrics:
+    """Destination-side statistics of one flow.
+
+    The engine accumulates created, delivered, late, delay_sum and the delay
+    histogram into one live record per flow; on_time, mean_delay and
+    drop_ratio are filled in the snapshots Simulation.report() returns.
+    """
+
     created: int = 0
     delivered: int = 0
     on_time: int = 0
@@ -169,7 +176,6 @@ class Simulation:
         self._qidx_of = [qpos[(i, f)] for (i, j, f) in self.idx.entries]
         self._f_of = [f for (_, _, f) in self.idx.entries]
         self._link_of = [(i, j) for (i, j, _) in self.idx.entries]
-        self._deliver = [j == f for (_, j, f) in self.idx.entries]
         self._rxq_of = [
             -1 if j == f else qpos[(j, f)] for (i, j, f) in self.idx.entries
         ]
@@ -184,11 +190,8 @@ class Simulation:
         self._rx_cum = [0] * nq
         self._tx_cum = [0] * nq
 
-        self._flow_ids = net.flow_ids
-        self._counters = {fid: QosCounters() for fid in self._flow_ids}
-        self._hist: dict[int, dict[int, int]] = {fid: {} for fid in self._flow_ids}
-        self._created = {fid: 0 for fid in self._flow_ids}
-        self._qspecs = {fid: net.qos_of(fid) for fid in self._flow_ids}
+        self._flows = {fid: FlowMetrics() for fid in net.flow_ids}
+        self._qspecs = {fid: net.qos_of(fid) for fid in net.flow_ids}
         self._deadline = {
             fid: (spec.deadline_slots if spec and spec.kind == "hard_deadline" else None)
             for fid, spec in self._qspecs.items()
@@ -234,7 +237,7 @@ class Simulation:
         _push(self._born[qi], self._count[qi], [(slot, 1) for slot in created])
         self._qlen[qi] += len(created)
         self._arr_cum[qi] += len(created)
-        self._created[flow_id] += len(created)
+        self._flows[flow_id].created += len(created)
 
     # -- per-slot dynamics --------------------------------------------------
 
@@ -254,7 +257,7 @@ class Simulation:
         mu = [rates[link] for link in self._link_of]
         self._fmu = [int(r) for r in mu]
 
-        theta = update_qos_weights(self._qspecs, self._counters)
+        theta = update_qos_weights(self._qspecs, self._flows)
         qlen = self._qlen
         w = [theta[f] * qlen[qi] for f, qi in zip(self._f_of, self._qidx_of)]
         wv = WeightVector(w=np.array(w, dtype=float), mu=np.array(mu), theta_hat=self._theta_hat_max)
@@ -311,12 +314,13 @@ class Simulation:
         born = self._born
         count = self._count
         qlen = self._qlen
+        flows = self._flows
         for qi, fid, counts in self._streams:
             n_new = int(counts[t])
             if n_new:
                 _push(born[qi], count[qi], ((t, n_new),))
                 qlen[qi] += n_new
-                self._created[fid] += n_new
+                flows[fid].created += n_new
                 self._arr_cum[qi] += n_new
 
         active = self._slots[t - self.t_prev]
@@ -335,16 +339,17 @@ class Simulation:
                     n_mv = avail
                 if n_mv <= 0:
                     continue
-                if self._deliver[k]:
+                rq = self._rxq_of[k]
+                if rq < 0:
                     fid = self._f_of[k]
-                    c = self._counters[fid]
-                    hist = self._hist[fid]
+                    c = flows[fid]
+                    hist = c.histogram
                     deadline = self._deadline[fid]
                     c.delivered += n_mv
                     runs = None
                 else:
                     runs = []
-                    stage.append((self._rxq_of[k], n_mv, runs))
+                    stage.append((rq, n_mv, runs))
                 # Drain n_mv packets from the head; only the head bucket is
                 # ever split. Each (creation slot, n) piece is delivered as a
                 # whole or staged for the next hop.
@@ -387,9 +392,9 @@ class Simulation:
             for qi in range(len(qlen)):
                 if qlen[qi] != self._arr_cum[qi] + self._rx_cum[qi] - self._tx_cum[qi]:
                     self.conservation_violations += 1
-            total_created = sum(self._created.values())
-            total_done = sum(c.delivered for c in self._counters.values())
-            if total_created != total_done + sum(qlen):
+            created = sum(fm.created for fm in flows.values())
+            delivered = sum(fm.delivered for fm in flows.values())
+            if created != delivered + sum(qlen):
                 self.conservation_violations += 1
 
         self.t = t + 1
@@ -397,19 +402,17 @@ class Simulation:
     # -- reporting ------------------------------------------------------------
 
     def report(self) -> MetricsReport:
-        flows: dict[int, FlowMetrics] = {}
-        for fid in self._flow_ids:
-            c = self._counters[fid]
-            flows[fid] = FlowMetrics(
-                created=self._created[fid],
-                delivered=c.delivered,
-                on_time=c.delivered - c.late,
-                late=c.late,
-                delay_sum=c.delay_sum,
-                mean_delay=c.delay_sum / c.delivered if c.delivered else None,
-                drop_ratio=c.late / c.delivered if c.delivered else None,
-                histogram=dict(sorted(self._hist[fid].items())),
+        """Snapshot of the run so far; later slots do not change it."""
+        flows = {
+            fid: replace(
+                fm,
+                on_time=fm.delivered - fm.late,
+                mean_delay=fm.delay_sum / fm.delivered if fm.delivered else None,
+                drop_ratio=fm.late / fm.delivered if fm.delivered else None,
+                histogram=dict(sorted(fm.histogram.items())),
             )
+            for fid, fm in self._flows.items()
+        }
         queue_avg = (
             {key: self._qsum[qi] / self.horizon for qi, key in enumerate(self._qkeys)}
             if self.horizon
@@ -420,7 +423,7 @@ class Simulation:
             horizon=self.horizon,
             flows=flows,
             queue_avg=queue_avg,
-            periods=self.periods,
+            periods=list(self.periods),
             conservation_violations=self.conservation_violations,
             interference_violations=self.interference_violations,
         )

@@ -115,8 +115,8 @@ def build_grid(preset: str, base: SimConfig | None = None) -> tuple[GridPoint, .
     return tuple(points)
 
 
-def _run_point(args) -> tuple[int, dict]:
-    order, label, config, seed, horizon = args
+def _run_point(args) -> dict:
+    label, config, seed, horizon = args
     report = run_simulation(config, horizon=horizon, seed=seed, collect_periods=True)
     flows = {}
     for fid, fm in sorted(report.flows.items()):
@@ -132,7 +132,7 @@ def _run_point(args) -> tuple[int, dict]:
     mean_c3 = (
         sum(p.c3 for p in report.periods) / n_periods if n_periods else None
     )
-    return order, {"label": label, "seed": seed, "flows": flows, "mean_gap_bound_c3": mean_c3}
+    return {"label": label, "seed": seed, "flows": flows, "mean_gap_bound_c3": mean_c3}
 
 
 def _fmt(value) -> str:
@@ -179,18 +179,13 @@ def run_experiment(
         print(f"cannot create output directory {out}: {exc}")
         return 2
 
-    jobs = []
-    order = 0
-    for point in grid:
-        for seed in seeds:
-            jobs.append((order, point.label, point.config, seed, horizon))
-            order += 1
+    jobs = [(point.label, point.config, seed, horizon) for point in grid for seed in seeds]
+    # Both maps yield results in job order.
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_run_point, jobs))
+            records = list(pool.map(_run_point, jobs))
     else:
-        results = dict(map(_run_point, jobs))
-    records = [results[i] for i in range(order)]
+        records = list(map(_run_point, jobs))
 
     digest = grid[0].config.digest() if grid else ""
     eff_horizon = horizon if horizon is not None else grid[0].config.run.horizon_slots
@@ -270,19 +265,11 @@ def export_metrics(report: MetricsReport, fmt: str, path) -> None:
     """
     path = Path(path)
     if fmt == "csv":
-        rows = []
-        for fid, fm in sorted(report.flows.items()):
-            rows.append(
-                (
-                    fid, fm.created, fm.delivered, fm.on_time, fm.late,
-                    fm.mean_delay, fm.drop_ratio,
-                )
-            )
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_COLUMNS)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+        rows = [
+            (fid, fm.created, fm.delivered, fm.on_time, fm.late, fm.mean_delay, fm.drop_ratio)
+            for fid, fm in sorted(report.flows.items())
+        ]
+        _write_csv(path, [], METRICS_COLUMNS, rows)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, sort_keys=True, indent=1)

@@ -338,8 +338,8 @@ class ConstraintSet:
 
     The remaining derived views are the static data of the review path,
     computed on first use and kept for the life of the set: the member
-    tuple of each halfspace, both projection divisors of each halfspace,
-    and per divisor mode the endpoint plan of every coordinate.
+    tuple of each halfspace and, per divisor mode, the endpoint plan of
+    every coordinate.
     """
 
     halfspaces: tuple[Halfspace, ...]
@@ -365,41 +365,31 @@ class ConstraintSet:
         return tuple(h.members for h in self.halfspaces)
 
     @cached_property
-    def coordinate_divisors(self) -> tuple[float, ...]:
-        """1 / member count per halfspace: the exact orthogonal projection."""
-        return tuple(1.0 / len(m) for m in self.member_groups)
+    def endpoint_plans(self) -> dict[str, tuple[tuple, ...]]:
+        """Per divisor mode, (m1, d1, b1, m2, d2, b2) per coordinate.
 
-    @cached_property
-    def link_divisors(self) -> tuple[float, ...]:
-        """1 / link count per halfspace (member count when none is recorded)."""
-        return tuple(
-            1.0 / (h.link_count if h.link_count else len(h.members)) for h in self.halfspaces
-        )
-
-    @cached_property
-    def coordinate_plan(self) -> tuple[tuple, ...]:
-        """Per-coordinate endpoint plan under the coordinate divisors."""
-        return self._endpoint_plan(self.coordinate_divisors)
-
-    @cached_property
-    def link_plan(self) -> tuple[tuple, ...]:
-        """Per-coordinate endpoint plan under the link divisors."""
-        return self._endpoint_plan(self.link_divisors)
-
-    def _endpoint_plan(self, divisors: tuple[float, ...]) -> tuple[tuple, ...]:
-        # (m1, d1, b1, m2, d2, b2) per coordinate: members, divisor and
-        # broadcast count (members - 1) of the tail and head halfspaces;
-        # m2 is None when both endpoints lie in one halfspace.
+        These are the members, the projection divisor and the broadcast
+        count (members - 1) of the tail and the head halfspace. When both
+        endpoints lie in one halfspace the head entry is ((), 0.0, 0).
+        "coordinates" divides by the member count (the exact orthogonal
+        projection); "links" by the link count, or the member count when
+        none is recorded.
+        """
         groups = self.member_groups
-        plan = []
-        for h1, h2 in self.endpoints:
-            m1 = groups[h1]
-            if h1 == h2:
-                plan.append((m1, divisors[h1], len(m1) - 1, None, 0.0, 0))
-            else:
-                m2 = groups[h2]
-                plan.append((m1, divisors[h1], len(m1) - 1, m2, divisors[h2], len(m2) - 1))
-        return tuple(plan)
+        divisors = {
+            "coordinates": [1.0 / len(m) for m in groups],
+            "links": [
+                1.0 / (h.link_count if h.link_count else len(h.members)) for h in self.halfspaces
+            ],
+        }
+        return {
+            mode: tuple(
+                (groups[h1], d[h1], len(groups[h1]) - 1)
+                + (((), 0.0, 0) if h1 == h2 else (groups[h2], d[h2], len(groups[h2]) - 1))
+                for h1, h2 in self.endpoints
+            )
+            for mode, d in divisors.items()
+        }
 
 
 def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:

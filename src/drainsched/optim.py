@@ -74,8 +74,8 @@ class OptParams:
     divisor_mode: str = "coordinates"
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
         if self.projection_repeats < 1:
@@ -244,9 +244,7 @@ def solve_review_optimization(
             excess_broadcasts=0,
         )
 
-    plan = (
-        constraints.link_plan if params.divisor_mode == "links" else constraints.coordinate_plan
-    )
+    plan = constraints.endpoint_plans[params.divisor_mode]
     n_rep = params.projection_repeats
     step = params.step_size
     steps = [(k, step * v) + p for k, (v, p) in enumerate(zip(wmu_l, plan))]
@@ -259,13 +257,6 @@ def solve_review_optimization(
             total1 = 0.0
             for q in m1:
                 total1 += s[q]
-            if m2 is None:
-                if total1 > 1.0:
-                    d = (total1 - 1.0) * d1
-                    for q in m1:
-                        s[q] -= d
-                    broadcasts += b1
-                continue
             total2 = 0.0
             for q in m2:
                 total2 += s[q]

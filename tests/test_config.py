@@ -101,6 +101,23 @@ control:
         with pytest.raises(ConfigError, match=f"channel.{field} must be finite"):
             replace(channel, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("a1", math.nan),
+        ("a2", math.inf),
+        ("safety_stock_pkts", math.nan),
+        ("theta_hat_default", math.inf),
+    ])
+    def test_non_finite_control_value_named(self, field, value):
+        control = parse_config(MINIMAL).control
+        with pytest.raises(ConfigError, match=f"control.{field} must be finite"):
+            replace(control, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_step_size_named(self, value):
+        optimizer = parse_config(MINIMAL).optimizer
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            replace(optimizer, step_size=value)
+
     def test_fixed_gain_requires_fixed_model(self):
         doc = MINIMAL + "\nchannel: {fixed_gain: 1.0}\n"
         with pytest.raises(ConfigError, match="fixed_gain"):

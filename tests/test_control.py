@@ -1,15 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from drainsched.control import (
-    QosCounters,
     QosSpec,
     build_slot_schedule,
     next_review_time,
     update_qos_weights,
 )
+from drainsched.engine import FlowMetrics
 from drainsched.network import ConfigError, Flow, NetworkSpec, build_constraints, \
     build_link_flow_index, derive_interference_sets
 
@@ -64,36 +65,51 @@ class TestQosSpec:
         with pytest.raises(ConfigError, match="kind"):
             QosSpec(kind="jitter")
 
+    @pytest.mark.parametrize("field, value", [
+        ("target_slots", math.inf),
+        ("theta_hat", math.nan),
+        ("theta_hat", math.inf),
+        ("deadline_slots", math.inf),
+    ])
+    def test_non_finite_value_named(self, field, value):
+        spec = (
+            QosSpec(kind="hard_deadline", deadline_slots=100, drop_ratio_target=0.02)
+            if field == "deadline_slots"
+            else QosSpec(kind="mean_delay", target_slots=10.0)
+        )
+        with pytest.raises(ConfigError, match=f"finite {field}|{field} must be finite"):
+            replace(spec, **{field: value})
+
 
 class TestUpdateQosWeights:
     def test_mean_delay_violation_raises_weight(self):
         specs = {7: QosSpec(kind="mean_delay", target_slots=50, theta_hat=6.0)}
-        counters = {7: QosCounters(delivered=100, delay_sum=5100)}  # mean 51
-        assert update_qos_weights(specs, counters) == {7: 6.0}
+        flows = {7: FlowMetrics(delivered=100, delay_sum=5100)}  # mean 51
+        assert update_qos_weights(specs, flows) == {7: 6.0}
 
     def test_mean_delay_at_target_stays_one(self):
         specs = {7: QosSpec(kind="mean_delay", target_slots=50, theta_hat=6.0)}
-        counters = {7: QosCounters(delivered=100, delay_sum=5000)}  # mean 50 exactly
-        assert update_qos_weights(specs, counters) == {7: 1.0}
+        flows = {7: FlowMetrics(delivered=100, delay_sum=5000)}  # mean 50 exactly
+        assert update_qos_weights(specs, flows) == {7: 1.0}
 
     def test_late_fraction_at_target_stays_one(self):
         specs = {5: QosSpec(kind="hard_deadline", deadline_slots=180,
                             drop_ratio_target=0.02, theta_hat=2.0)}
-        counters = {5: QosCounters(delivered=100, delay_sum=0, late=2)}  # exactly 2%
-        assert update_qos_weights(specs, counters) == {5: 1.0}
+        flows = {5: FlowMetrics(delivered=100, delay_sum=0, late=2)}  # exactly 2%
+        assert update_qos_weights(specs, flows) == {5: 1.0}
 
     def test_late_fraction_above_target(self):
         specs = {5: QosSpec(kind="hard_deadline", deadline_slots=180,
                             drop_ratio_target=0.02, theta_hat=2.0)}
-        counters = {5: QosCounters(delivered=100, delay_sum=0, late=3)}
-        assert update_qos_weights(specs, counters) == {5: 2.0}
+        flows = {5: FlowMetrics(delivered=100, delay_sum=0, late=3)}
+        assert update_qos_weights(specs, flows) == {5: 2.0}
 
     def test_no_spec_weighs_one(self):
-        assert update_qos_weights({9: None}, {9: QosCounters(delivered=10)}) == {9: 1.0}
+        assert update_qos_weights({9: None}, {9: FlowMetrics(delivered=10)}) == {9: 1.0}
 
     def test_no_deliveries_weigh_one(self):
         specs = {7: QosSpec(kind="mean_delay", target_slots=1, theta_hat=4.0)}
-        assert update_qos_weights(specs, {7: QosCounters()}) == {7: 1.0}
+        assert update_qos_weights(specs, {7: FlowMetrics()}) == {7: 1.0}
 
     def test_pure_function_replays(self):
         specs = {
@@ -102,13 +118,13 @@ class TestUpdateQosWeights:
                        drop_ratio_target=0.05, theta_hat=3.0),
             9: None,
         }
-        counters = {
-            7: QosCounters(delivered=10, delay_sum=900),
-            8: QosCounters(delivered=50, delay_sum=100, late=10),
-            9: QosCounters(delivered=3, delay_sum=3),
+        flows = {
+            7: FlowMetrics(delivered=10, delay_sum=900),
+            8: FlowMetrics(delivered=50, delay_sum=100, late=10),
+            9: FlowMetrics(delivered=3, delay_sum=3),
         }
-        first = update_qos_weights(specs, counters)
-        assert first == update_qos_weights(specs, counters)
+        first = update_qos_weights(specs, flows)
+        assert first == update_qos_weights(specs, flows)
         assert first == {7: 6.0, 8: 3.0, 9: 1.0}
 
 

@@ -1,3 +1,4 @@
+import copy
 from collections import deque
 from dataclasses import replace
 
@@ -71,7 +72,7 @@ def step_against_per_packet_reference(sim, forward, slots):
     ref = [deque(packets(sim, qi)) for qi in range(len(sim._qkeys))]
     deadline = sim._deadline
     stats = {fid: {"delivered": 0, "delay_sum": 0, "late": 0, "hist": {}}
-             for fid in sim._flow_ids}
+             for fid in sim._flows}
     for _ in range(slots):
         t = sim.t
         tx_before = list(sim._tx_cum)
@@ -347,8 +348,8 @@ class TestFlowStatistics:
 
     def test_two_late_of_hundred(self):
         sim = Simulation(single_link_config(horizon=0), seed=1)
-        counters = sim._counters[1]
-        counters.delivered, counters.late, counters.delay_sum = 100, 2, 1000
+        fm = sim._flows[1]
+        fm.delivered, fm.late, fm.delay_sum = 100, 2, 1000
         mean, drop = flow_statistics(sim.report(), 1)
         assert mean == pytest.approx(10.0)
         assert drop == pytest.approx(0.02)
@@ -362,6 +363,26 @@ class TestFlowStatistics:
         rep = run_simulation(single_link_config(horizon=0))
         with pytest.raises(KeyError):
             flow_statistics(rep, 99)
+
+
+class TestReportSnapshot:
+    def test_report_does_not_change_as_the_run_goes_on(self):
+        sim = Simulation(bundled_preset_config(), seed=2, horizon=600)
+        for _ in range(300):
+            sim.step()
+        first = sim.report()
+        kept = copy.deepcopy(first)
+        for _ in range(300):
+            sim.step()
+        later = sim.report()
+        assert sum(fm.delivered for fm in first.flows.values()) > 0
+        for fid, fm in first.flows.items():
+            assert fm.delivered == kept.flows[fid].delivered
+            assert fm.histogram == kept.flows[fid].histogram
+            assert later.flows[fid].delivered >= fm.delivered
+        assert first == kept
+        assert len(later.periods) > len(first.periods)
+        assert later.flows != first.flows
 
 
 class TestReportSerialization:

@@ -362,6 +362,30 @@ class TestFinalizeMatchesNumpyReference:
 
 
 class TestCachedPlan:
+    def test_endpoint_plans_follow_the_halfspaces(self):
+        from drainsched.experiments import bundled_preset_config
+        from drainsched.optim import DIVISOR_MODES
+
+        spec = bundled_preset_config().network
+        cons = build_constraints(build_link_flow_index(spec), spec)
+        plans = cons.endpoint_plans
+        assert tuple(plans) == DIVISOR_MODES
+        hs = cons.halfspaces
+        divisor = {
+            "coordinates": lambda h: 1.0 / len(hs[h].members),
+            "links": lambda h: 1.0 / (hs[h].link_count or len(hs[h].members)),
+        }
+        for mode, plan in plans.items():
+            assert len(plan) == cons.n_coords
+            for (h1, h2), (m1, d1, b1, m2, d2, b2) in zip(cons.endpoints, plan):
+                assert (m1, d1, b1) == (hs[h1].members, divisor[mode](h1), len(m1) - 1)
+                if h1 == h2:
+                    assert (m2, d2, b2) == ((), 0.0, 0)
+                else:
+                    assert (m2, d2, b2) == (hs[h2].members, divisor[mode](h2), len(m2) - 1)
+        # mesh10 has a coordinate whose endpoints share one halfspace
+        assert any(h1 == h2 for h1, h2 in cons.endpoints)
+
     def test_divisor_modes_do_not_share_a_plan(self):
         from drainsched.experiments import bundled_preset_config
 
