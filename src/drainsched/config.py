@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any
 
 import yaml
@@ -20,8 +21,6 @@ import yaml
 from .control import QosSpec
 from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets
 from .optim import OptParams
-
-_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,11 @@ class ControlParams:
             raise ConfigError("control.theta_hat_default must be finite and > 1")
 
 
+def _whole(value: Any) -> bool:
+    """An int or numpy integer; bool, float and everything else are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunParams:
     horizon_slots: int = 100_000
@@ -80,13 +84,15 @@ class RunParams:
     trace: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not _whole(self.horizon_slots):
+            raise ConfigError(f"run.horizon_slots must be an integer, got {self.horizon_slots!r}")
         if self.horizon_slots < 0:
             raise ConfigError("run.horizon_slots must be >= 0")
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
-        if any(s < 0 for s in self.seeds):
+        if not all(_whole(s) and s >= 0 for s in self.seeds):
             raise ConfigError("run.seeds must be nonnegative integers")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
 
 @dataclass(frozen=True)
@@ -123,12 +129,10 @@ def _check_keys(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
             raise ConfigError(f"{path}: unknown key {key!r} (allowed: {', '.join(allowed)})")
 
 
-def _get(mapping: dict, key: str, path: str, default: Any = _REQUIRED) -> Any:
-    if key in mapping:
-        return mapping[key]
-    if default is _REQUIRED:
+def _get(mapping: dict, key: str, path: str) -> Any:
+    if key not in mapping:
         raise ConfigError(f"{path}: missing required key {key!r}")
-    return default
+    return mapping[key]
 
 
 def _number(value: Any, path: str) -> float:
@@ -153,6 +157,58 @@ def _listing(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
     return value
+
+
+def _boolean(value: Any, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean")
+    return value
+
+
+def _integers(value: Any, path: str) -> tuple[int, ...]:
+    return tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(_listing(value, path)))
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+# The value check of a params field, by the field's annotation.
+_CHECKS = {
+    "float": _number,
+    "float | None": _optional(_number),
+    "int": _integer,
+    "int | None": _optional(_integer),
+    "str": lambda value, path: str(value),
+    "bool": _boolean,
+    "tuple[int, ...]": _integers,
+}
+
+
+def _keys(cls) -> tuple[str, ...]:
+    """Config keys of cls's fields; divisor_mode is read from projection_divisor."""
+    return tuple("projection_divisor" if f.name == "divisor_mode" else f.name for f in fields(cls))
+
+
+def _params(cls, section: Any, path: str, extra_keys: tuple[str, ...] = (), **defaults):
+    """Build the params dataclass cls from one YAML mapping, one key per field.
+
+    A present key is checked by its field's annotation and cls's __post_init__;
+    an absent one keeps the field's default or its override in defaults.
+    """
+    sec = _mapping(section, path)
+    keys = _keys(cls)
+    _check_keys(sec, keys + extra_keys, path)
+    kwargs = dict(defaults)
+    for key, f in zip(keys, fields(cls)):
+        if key in sec or f.default is MISSING:
+            kwargs[f.name] = _CHECKS[f.type](_get(sec, key, path), f"{path}.{key}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # OptParams raises plain ValueError
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # -- section parsers --------------------------------------------------------
@@ -214,7 +270,7 @@ def _parse_network(section: Any, qos_by_flow: dict[int, QosSpec]) -> NetworkSpec
 
     extra = []
     for si, item in enumerate(
-        _listing(_get(sec, "extra_interference_sets", "network", []),
+        _listing(sec.get("extra_interference_sets", []),
                  "network.extra_interference_sets")
     ):
         members = _listing(item, f"network.extra_interference_sets[{si}]")
@@ -238,94 +294,17 @@ def _parse_qos(section: Any, theta_default: float) -> dict[int, QosSpec]:
             raise ConfigError(f"control.qos: flow id {raw_fid!r} is not an integer") from None
         path = f"control.qos[{fid}]"
         qsec = _mapping(item, path)
-        _check_keys(
-            qsec, ("kind", "target_slots", "deadline_slots", "drop_ratio_target", "theta_hat"),
-            path,
-        )
-        kind = _get(qsec, "kind", path)
-        if kind == "none":
-            continue
-        target = qsec.get("target_slots")
-        deadline = qsec.get("deadline_slots")
-        ratio = qsec.get("drop_ratio_target")
-        theta = qsec.get("theta_hat", theta_default)
-        out[fid] = QosSpec(
-            kind=kind,
-            target_slots=None if target is None else _number(target, f"{path}.target_slots"),
-            deadline_slots=None if deadline is None else _integer(deadline, f"{path}.deadline_slots"),
-            drop_ratio_target=None if ratio is None else _number(ratio, f"{path}.drop_ratio_target"),
-            theta_hat=_number(theta, f"{path}.theta_hat"),
-        )
+        if qsec.get("kind") == "none":
+            _check_keys(qsec, _keys(QosSpec), path)
+        else:
+            out[fid] = _params(QosSpec, qsec, path, theta_hat=theta_default)
     return out
-
-
-def _parse_channel(section: Any) -> ChannelParams:
-    sec = _mapping(section, "channel")
-    _check_keys(
-        sec,
-        ("rayleigh_scale_constant", "noise_power", "tx_power", "log_base",
-         "gain_model", "fixed_gain"),
-        "channel",
-    )
-    fixed = sec.get("fixed_gain")
-    return ChannelParams(
-        rayleigh_scale_constant=_number(sec.get("rayleigh_scale_constant", 1.0),
-                                        "channel.rayleigh_scale_constant"),
-        noise_power=_number(sec.get("noise_power", 1.0), "channel.noise_power"),
-        tx_power=_number(sec.get("tx_power", 1.0), "channel.tx_power"),
-        log_base=str(_get(sec, "log_base", "channel", "e")),
-        gain_model=str(_get(sec, "gain_model", "channel", "rayleigh")),
-        fixed_gain=None if fixed is None else _number(fixed, "channel.fixed_gain"),
-    )
-
-
-def _parse_optimizer(section: Any) -> OptParams:
-    sec = _mapping(section, "optimizer")
-    _check_keys(
-        sec, ("step_size", "cycles", "projection_repeats", "init_mode", "projection_divisor"),
-        "optimizer",
-    )
-    try:
-        return OptParams(
-            step_size=_number(sec.get("step_size", 1e-4), "optimizer.step_size"),
-            cycles=_integer(sec.get("cycles", 8), "optimizer.cycles"),
-            projection_repeats=_integer(sec.get("projection_repeats", 10),
-                                        "optimizer.projection_repeats"),
-            init_mode=str(sec.get("init_mode", "ones")),
-            divisor_mode=str(sec.get("projection_divisor", "coordinates")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"optimizer: {exc}") from None
 
 
 def _parse_control(section: Any) -> tuple[ControlParams, dict[int, QosSpec]]:
     sec = _mapping(section, "control")
-    _check_keys(sec, ("a1", "a2", "safety_stock_pkts", "theta_hat_default", "qos"), "control")
-    params = ControlParams(
-        a1=_number(sec.get("a1", 1.0), "control.a1"),
-        a2=_number(sec.get("a2", 1.0), "control.a2"),
-        safety_stock_pkts=_integer(sec.get("safety_stock_pkts", 5),
-                                   "control.safety_stock_pkts"),
-        theta_hat_default=_number(sec.get("theta_hat_default", 2.0),
-                                  "control.theta_hat_default"),
-    )
-    qos = _parse_qos(sec.get("qos"), params.theta_hat_default)
-    return params, qos
-
-
-def _parse_run(section: Any) -> RunParams:
-    sec = _mapping(section, "run")
-    _check_keys(sec, ("horizon_slots", "seeds", "trace"), "run")
-    seeds = sec.get("seeds", [1])
-    seeds = [_integer(s, f"run.seeds[{i}]") for i, s in enumerate(_listing(seeds, "run.seeds"))]
-    trace = sec.get("trace", False)
-    if not isinstance(trace, bool):
-        raise ConfigError("run.trace: expected a boolean")
-    return RunParams(
-        horizon_slots=_integer(sec.get("horizon_slots", 100_000), "run.horizon_slots"),
-        seeds=tuple(seeds),
-        trace=trace,
-    )
+    params = _params(ControlParams, sec, "control", extra_keys=("qos",))
+    return params, _parse_qos(sec.get("qos"), params.theta_hat_default)
 
 
 def parse_config(text: str) -> SimConfig:
@@ -339,10 +318,10 @@ def parse_config(text: str) -> SimConfig:
     control, qos = _parse_control(top.get("control"))
     return SimConfig(
         network=_parse_network(top.get("network"), qos),
-        channel=_parse_channel(top.get("channel")),
-        optimizer=_parse_optimizer(top.get("optimizer")),
+        channel=_params(ChannelParams, top.get("channel"), "channel"),
+        optimizer=_params(OptParams, top.get("optimizer"), "optimizer"),
         control=control,
-        run=_parse_run(top.get("run")),
+        run=_params(RunParams, top.get("run"), "run"),
     )
 
 

@@ -65,10 +65,10 @@ def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 
     The period length grows logarithmically with the backlog; the floor of
     one slot keeps the clock moving when the network is empty.
     """
-    if total_backlog < 0:
-        raise ValueError(f"total backlog must be >= 0, got {total_backlog}")
-    if a1 <= 0 or a2 <= 0:
-        raise ValueError("review constants a1 and a2 must be > 0")
+    if not 0 <= total_backlog < math.inf:
+        raise ValueError(f"total backlog must be finite and >= 0, got {total_backlog}")
+    if not (0 < a1 < math.inf and 0 < a2 < math.inf):
+        raise ValueError(f"review constants a1 and a2 must be finite and > 0, got {a1}, {a2}")
     length = int(math.floor(a1 * math.log1p(a2 * total_backlog) + 0.5))
     return t + max(1, length)
 

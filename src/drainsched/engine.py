@@ -157,9 +157,10 @@ class Simulation:
         trace_file=None,
     ):
         self.config = config
+        horizon = config.run.horizon_slots if horizon is None else horizon
+        RunParams(horizon_slots=horizon, seeds=(seed,))  # same checks as a config
         self.seed = int(seed)
-        self.horizon = config.run.horizon_slots if horizon is None else int(horizon)
-        RunParams(horizon_slots=self.horizon, seeds=(self.seed,))  # same checks as a config
+        self.horizon = int(horizon)
         self._check = check_invariants
         self._collect = collect_periods
         self._oracle_diag = oracle_diagnostics

@@ -1,12 +1,21 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from drainsched.config import load_config, parse_config
+from drainsched.config import (
+    _CHECKS,
+    ChannelParams,
+    ControlParams,
+    RunParams,
+    load_config,
+    parse_config,
+)
 from drainsched.control import QosSpec
 from drainsched.experiments import bundled_preset_config
 from drainsched.network import ConfigError
+from drainsched.optim import OptParams
 
 MINIMAL = """
 network:
@@ -33,9 +42,92 @@ class TestDefaults:
         assert cfg.run.horizon_slots == 100_000
         assert cfg.run.seeds == (1,)
 
+    def test_minimal_document_equals_dataclass_defaults(self):
+        cfg = parse_config(MINIMAL)
+        assert cfg.channel == ChannelParams()
+        assert cfg.optimizer == OptParams()
+        assert cfg.control == ControlParams()
+        assert cfg.run == RunParams()
+
+    @pytest.mark.parametrize("cls", [ChannelParams, OptParams, ControlParams, RunParams, QosSpec])
+    def test_every_field_annotation_has_a_check(self, cls):
+        assert {f.type for f in fields(cls)} <= set(_CHECKS)
+
     def test_interference_sets_are_derived(self):
         cfg = parse_config(MINIMAL)
         assert cfg.network.interference_sets  # node sets exist after parsing
+
+
+EVERY_KEY = """
+network:
+  nodes: [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]
+  links: [[0, 1], [0, 2]]
+  flows:
+    - {source: 0, destination: 1, rate_pkts_per_slot: 0.5, routes: [[0, 1]]}
+    - {source: 0, destination: 2, rate_pkts_per_slot: 0.5, routes: [[0, 2]]}
+channel:
+  rayleigh_scale_constant: 2.0
+  noise_power: 0.5
+  tx_power: 3.0
+  log_base: 2
+  gain_model: fixed
+  fixed_gain: 4.0
+optimizer:
+  step_size: 0.0002
+  cycles: 3
+  projection_repeats: 4
+  init_mode: zeros
+  projection_divisor: links
+control:
+  a1: 2.5
+  a2: 0.5
+  safety_stock_pkts: 2
+  theta_hat_default: 3.0
+  qos:
+    1: {kind: mean_delay, target_slots: 25}
+    2: {kind: hard_deadline, deadline_slots: 40, drop_ratio_target: 0.1, theta_hat: 1.5}
+run:
+  horizon_slots: 50
+  seeds: [3, 4]
+  trace: true
+"""
+
+
+class TestKeyFieldMap:
+    def test_every_key_set_equals_dataclasses_built_directly(self):
+        cfg = parse_config(EVERY_KEY)
+        got = (cfg.channel, cfg.optimizer, cfg.control, cfg.run,
+               cfg.network.qos_of(1), cfg.network.qos_of(2))
+        want = (
+            ChannelParams(rayleigh_scale_constant=2.0, noise_power=0.5, tx_power=3.0,
+                          log_base="2", gain_model="fixed", fixed_gain=4.0),
+            OptParams(step_size=2e-4, cycles=3, projection_repeats=4, init_mode="zeros",
+                      divisor_mode="links"),
+            ControlParams(a1=2.5, a2=0.5, safety_stock_pkts=2, theta_hat_default=3.0),
+            RunParams(horizon_slots=50, seeds=(3, 4), trace=True),
+            QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=3.0),
+            QosSpec(kind="hard_deadline", deadline_slots=40, drop_ratio_target=0.1,
+                    theta_hat=1.5),
+        )
+        # repr, unlike ==, tells 25 from 25.0, and so does the config digest
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("section, allowed", [
+        ("channel", "rayleigh_scale_constant, noise_power, tx_power, log_base, gain_model, "
+                    "fixed_gain"),
+        ("optimizer", "step_size, cycles, projection_repeats, init_mode, projection_divisor"),
+        ("control", "a1, a2, safety_stock_pkts, theta_hat_default, qos"),
+        ("run", "horizon_slots, seeds, trace"),
+        ("control.qos[1]", "kind, target_slots, deadline_slots, drop_ratio_target, theta_hat"),
+    ])
+    def test_unknown_key_lists_allowed_keys_in_order(self, section, allowed):
+        if section == "control.qos[1]":
+            doc = MINIMAL + "\ncontrol: {qos: {1: {kind: none, bogus: 1}}}\n"
+        else:
+            doc = MINIMAL + f"\n{section}: {{bogus: 1}}\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert str(exc.value) == f"{section}: unknown key 'bogus' (allowed: {allowed})"
 
 
 class TestErrors:
@@ -81,6 +173,19 @@ control:
         with pytest.raises(ConfigError, match="channel.noise_power"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("section, message", [
+        ("run: {trace: 1}", "run.trace: expected a boolean"),
+        ("run: {seeds: [2, 1.5]}", r"run.seeds\[1\]: expected an integer, got 1.5"),
+        ("optimizer: {cycles: 2.0}", "^optimizer.cycles: expected an integer, got 2.0"),
+        ("control: {qos: {1: {kind: hard_deadline, deadline_slots: 4.5}}}",
+         r"control.qos\[1\].deadline_slots: expected an integer, got 4.5"),
+        ("control: {qos: {1: {target_slots: 5}}}",
+         r"control.qos\[1\]: missing required key 'kind'"),
+    ])
+    def test_bad_value_named_by_path(self, section, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + "\n" + section + "\n")
+
     @pytest.mark.parametrize("value", [".nan", "-.inf", "1" + "0" * 400])
     def test_non_finite_number_named(self, value):
         doc = MINIMAL + f"\ncontrol: {{a1: {value}}}\n"
@@ -117,6 +222,22 @@ control:
         optimizer = parse_config(MINIMAL).optimizer
         with pytest.raises(ValueError, match="step_size must be finite"):
             replace(optimizer, step_size=value)
+
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True])
+    def test_non_integer_horizon_named(self, value):
+        run = parse_config(MINIMAL).run
+        with pytest.raises(ConfigError, match="run.horizon_slots must be an integer"):
+            replace(run, horizon_slots=value)
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, True])
+    def test_non_integer_seed_named(self, value):
+        with pytest.raises(ConfigError, match="run.seeds must be nonnegative integers"):
+            RunParams(seeds=(value,))
+
+    def test_numpy_integers_accepted(self):
+        run = RunParams(horizon_slots=np.int64(50), seeds=(np.int32(2),))
+        assert run.horizon_slots == 50
+        assert run.seeds == (2,) and type(run.seeds[0]) is int
 
     def test_fixed_gain_requires_fixed_model(self):
         doc = MINIMAL + "\nchannel: {fixed_gain: 1.0}\n"
@@ -186,6 +307,11 @@ class TestBundledPreset:
 
     def test_digest_is_stable(self):
         assert bundled_preset_config().digest() == bundled_preset_config().digest()
+
+    def test_digest_is_pinned(self):
+        # Every experiment CSV header records this digest; a default read with
+        # another type (1 instead of 1.0) changes it.
+        assert bundled_preset_config().digest() == "3c8b6b6dabf584f6"
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "net.yaml"

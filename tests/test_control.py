@@ -47,6 +47,19 @@ class TestNextReviewTime:
         with pytest.raises(ValueError):
             next_review_time(0, -1.0)
 
+    @pytest.mark.parametrize("backlog, a1, a2, message", [
+        (math.nan, 1.0, 1.0, "total backlog must be finite"),
+        (math.inf, 1.0, 1.0, "total backlog must be finite"),
+        (-math.inf, 1.0, 1.0, "total backlog must be finite"),
+        (10.0, math.nan, 1.0, "review constants"),
+        (10.0, math.inf, 1.0, "review constants"),
+        (10.0, 1.0, math.nan, "review constants"),
+        (10.0, 1.0, math.inf, "review constants"),
+    ])
+    def test_non_finite_input_rejected_with_own_message(self, backlog, a1, a2, message):
+        with pytest.raises(ValueError, match=message):
+            next_review_time(0, backlog, a1, a2)
+
 
 class TestQosSpec:
     def test_mean_delay_requires_target(self):

@@ -8,6 +8,7 @@ import pytest
 from drainsched.config import parse_config, with_optimizer, with_run
 from drainsched.engine import MetricsReport, Simulation, flow_statistics, run_simulation
 from drainsched.experiments import bundled_preset_config
+from drainsched.network import ConfigError
 
 SINGLE_LINK_YAML = """
 network:
@@ -259,6 +260,12 @@ class TestRunSimulation:
         assert rep.flows[1].mean_delay is None
         assert rep.queue_avg == {}
         assert rep.periods == []
+
+    @pytest.mark.parametrize("override", [{"horizon": 2.5}, {"seed": 1.5}, {"horizon": True}])
+    def test_non_integer_horizon_or_seed_rejected(self, override):
+        kwargs = {"seed": 1, "horizon": 10, **override}
+        with pytest.raises(ConfigError, match="run."):
+            Simulation(single_link_config(horizon=0), **kwargs)
 
     def test_single_queue_mean_delay_matches_independent_oracle(self):
         lam = 0.85
