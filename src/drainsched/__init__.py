@@ -1,7 +1,7 @@
 """drainsched: slotted-time simulation and review-time schedule optimization
 for QoS flows in multihop wireless networks with interference sets."""
 
-from .channel import compute_rate, draw_gains, fixed_gains, rate_table
+from .channel import draw_gains, fixed_gains, rate_table
 from .config import (
     ChannelParams,
     ControlParams,

@@ -43,29 +43,13 @@ def fixed_gains(spec: NetworkSpec, gain: float) -> dict[Link, float]:
     return {link: float(gain) for link in spec.links}
 
 
-def compute_rate(gain: float, power: float = 1.0, noise: float = 1.0, base: str = "e") -> float:
-    """Shannon-style rate log(1 + gain * power / noise), natural log by default."""
-    if gain < 0:
-        raise ValueError(f"gain must be >= 0, got {gain}")
-    if power <= 0:
-        raise ValueError(f"power must be > 0, got {power}")
-    if noise <= 0:
-        raise ValueError(f"noise must be > 0, got {noise}")
-    rate = math.log1p(gain * power / noise)
-    if base == "2":
-        rate /= math.log(2.0)
-    elif base != "e":
-        raise ValueError(f"log base must be 'e' or '2', got {base!r}")
-    return rate
-
-
 def rate_table(
     gains: dict[Link, float], power: float = 1.0, noise: float = 1.0, base: str = "e"
 ) -> dict[Link, float]:
     """Link rates in bits/slot for one period's power gains.
 
-    Each rate is compute_rate(gain, power, noise, base); the arguments shared
-    by every link are checked once.
+    Each rate is the Shannon-style log(1 + gain * power / noise), natural log
+    by default or base 2; the arguments shared by every link are checked once.
     """
     if power <= 0:
         raise ValueError(f"power must be > 0, got {power}")

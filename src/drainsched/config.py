@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Any
 
 import yaml
 
 from .control import QosSpec
-from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets
+from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets, is_integer
 from .optim import OptParams
 
 
@@ -72,11 +71,6 @@ class ControlParams:
             raise ConfigError("control.theta_hat_default must be finite and > 1")
 
 
-def _whole(value: Any) -> bool:
-    """An int or numpy integer; bool, float and everything else are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunParams:
     horizon_slots: int = 100_000
@@ -84,13 +78,13 @@ class RunParams:
     trace: bool = False
 
     def __post_init__(self):
-        if not _whole(self.horizon_slots):
+        if not is_integer(self.horizon_slots):
             raise ConfigError(f"run.horizon_slots must be an integer, got {self.horizon_slots!r}")
         if self.horizon_slots < 0:
             raise ConfigError("run.horizon_slots must be >= 0")
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
-        if not all(_whole(s) and s >= 0 for s in self.seeds):
+        if not all(is_integer(s) and s >= 0 for s in self.seeds):
             raise ConfigError("run.seeds must be nonnegative integers")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
@@ -190,19 +184,25 @@ def _keys(cls) -> tuple[str, ...]:
     return tuple("projection_divisor" if f.name == "divisor_mode" else f.name for f in fields(cls))
 
 
+def _values(cls, sec: dict, path: str, extra_keys: tuple[str, ...] = ()) -> dict:
+    """The values of sec's keys as cls's field arguments, each checked by the
+    rule of its field's annotation; a required field must be present."""
+    keys = _keys(cls)
+    _check_keys(sec, keys + extra_keys, path)
+    return {
+        f.name: _CHECKS[f.type](_get(sec, key, path), f"{path}.{key}")
+        for key, f in zip(keys, fields(cls))
+        if key in sec or f.default is MISSING
+    }
+
+
 def _params(cls, section: Any, path: str, extra_keys: tuple[str, ...] = (), **defaults):
     """Build the params dataclass cls from one YAML mapping, one key per field.
 
     A present key is checked by its field's annotation and cls's __post_init__;
     an absent one keeps the field's default or its override in defaults.
     """
-    sec = _mapping(section, path)
-    keys = _keys(cls)
-    _check_keys(sec, keys + extra_keys, path)
-    kwargs = dict(defaults)
-    for key, f in zip(keys, fields(cls)):
-        if key in sec or f.default is MISSING:
-            kwargs[f.name] = _CHECKS[f.type](_get(sec, key, path), f"{path}.{key}")
+    kwargs = defaults | _values(cls, _mapping(section, path), path, extra_keys)
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -294,8 +294,8 @@ def _parse_qos(section: Any, theta_default: float) -> dict[int, QosSpec]:
             raise ConfigError(f"control.qos: flow id {raw_fid!r} is not an integer") from None
         path = f"control.qos[{fid}]"
         qsec = _mapping(item, path)
-        if qsec.get("kind") == "none":
-            _check_keys(qsec, _keys(QosSpec), path)
+        if qsec.get("kind") == "none":  # no spec, but its values are still checked
+            _values(QosSpec, qsec, path)
         else:
             out[fid] = _params(QosSpec, qsec, path, theta_hat=theta_default)
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import graphlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -26,6 +27,11 @@ Link = tuple[int, int]
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer; bool, float and everything else are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -339,7 +345,7 @@ class ConstraintSet:
     The remaining derived views are the static data of the review path,
     computed on first use and kept for the life of the set: the member
     tuple of each halfspace and, per divisor mode, the endpoint plan of
-    every coordinate.
+    every coordinate and the solver kernel generated from it.
     """
 
     halfspaces: tuple[Halfspace, ...]
@@ -390,6 +396,19 @@ class ConstraintSet:
             )
             for mode, d in divisors.items()
         }
+
+    @cached_property
+    def solver_kernels(self) -> dict:
+        """Per divisor mode, the solver's generated cycle loop.
+
+        Filled on first use by optim.cycle_kernel from the endpoint plan of
+        that mode, and kept, like the plans, for the life of the set.
+        """
+        return {}
+
+    def __getstate__(self):
+        # Generated functions do not pickle; a copy regenerates its kernels.
+        return {k: v for k, v in self.__dict__.items() if k != "solver_kernels"}
 
 
 def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ConstraintSet, Halfspace
+from .network import ConstraintSet, Halfspace, is_integer
 
 INIT_MODES = ("ones", "zeros")
 DIVISOR_MODES = ("coordinates", "links")
@@ -41,11 +41,16 @@ class WeightVector:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         if self.w.shape != self.mu.shape or self.w.ndim != 1:
             raise ValueError("w and mu must be 1-d vectors of equal length")
-        # fmin skips NaN, so this holds exactly when w or mu has a negative
-        if (np.fmin(self.w, self.mu) < 0).any():
-            raise ValueError("weights and rates must be nonnegative")
-        if self.theta_hat < 1.0:
-            raise ValueError(f"theta_hat must be >= 1, got {self.theta_hat}")
+        # min and max propagate NaN, so this holds exactly when every entry of
+        # w and mu is finite and >= 0.
+        both = np.concatenate((self.w, self.mu))
+        if not 0.0 <= both.min(initial=0.0) <= both.max(initial=0.0) < math.inf:
+            for name in ("w", "mu"):
+                bad = [x for x in getattr(self, name).tolist() if not 0.0 <= x < math.inf]
+                if bad:
+                    raise ValueError(f"{name} must be finite and >= 0, got {bad[0]}")
+        if not 1.0 <= self.theta_hat < math.inf:
+            raise ValueError(f"theta_hat must be finite and >= 1, got {self.theta_hat}")
 
     @property
     def n_coords(self) -> int:
@@ -76,10 +81,12 @@ class OptParams:
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
-        if self.cycles < 1:
-            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
-        if self.projection_repeats < 1:
-            raise ValueError(f"projection_repeats must be >= 1, got {self.projection_repeats}")
+        for name in ("cycles", "projection_repeats"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if self.divisor_mode not in DIVISOR_MODES:
@@ -220,7 +227,8 @@ def solve_review_optimization(
     step, then the endpoint-halfspace repair. After the last cycle the
     iterate is clamped and rescaled into the polytope. The handoff count is
     one message per coordinate step; each applied projection broadcasts one
-    correction value to the other member coordinates.
+    correction value to the other member coordinates. The cycles run in the
+    kernel that cycle_kernel generates for the constraints and divisor mode.
     """
     n = constraints.n_coords
     if weights.n_coords != n:
@@ -244,63 +252,11 @@ def solve_review_optimization(
             excess_broadcasts=0,
         )
 
-    plan = constraints.endpoint_plans[params.divisor_mode]
-    n_rep = params.projection_repeats
     step = params.step_size
-    steps = [(k, step * v) + p for k, (v, p) in enumerate(zip(wmu_l, plan))]
-    broadcasts = 0
-    trace = []
-
-    for _ in range(params.cycles):
-        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
-            s[k] += inc
-            total1 = 0.0
-            for q in m1:
-                total1 += s[q]
-            total2 = 0.0
-            for q in m2:
-                total2 += s[q]
-            if total1 > 1.0:
-                if total2 > 1.0:
-                    # Both violated: alternate. Each pass projects onto
-                    # whichever of the two is still violated, re-summing
-                    # after every projection.
-                    for _rep in range(n_rep):
-                        changed = False
-                        if total1 > 1.0:
-                            d = (total1 - 1.0) * d1
-                            for q in m1:
-                                s[q] -= d
-                            broadcasts += b1
-                            changed = True
-                        total2 = 0.0
-                        for q in m2:
-                            total2 += s[q]
-                        if total2 > 1.0:
-                            d = (total2 - 1.0) * d2
-                            for q in m2:
-                                s[q] -= d
-                            broadcasts += b2
-                            changed = True
-                        if not changed:
-                            break
-                        total1 = 0.0
-                        for q in m1:
-                            total1 += s[q]
-                else:
-                    d = (total1 - 1.0) * d1
-                    for q in m1:
-                        s[q] -= d
-                    broadcasts += b1
-            elif total2 > 1.0:
-                d = (total2 - 1.0) * d2
-                for q in m2:
-                    s[q] -= d
-                broadcasts += b2
-        obj = 0.0
-        for v, x in zip(wmu_l, s):
-            obj += v * x
-        trace.append(obj)
+    kernel = cycle_kernel(constraints, params.divisor_mode)
+    s, broadcasts, trace = kernel(
+        s, [step * v for v in wmu_l], wmu_l, params.cycles, params.projection_repeats
+    )
 
     out = finalize_feasible(s, constraints)
     return out, OptDiagnostics(
@@ -312,3 +268,96 @@ def solve_review_optimization(
         handoff_messages=params.cycles * n,
         excess_broadcasts=broadcasts,
     )
+
+
+# -- the generated cycle loop -------------------------------------------------
+#
+# The solver's cycles run in a straight-line function generated once per
+# (ConstraintSet, divisor mode): one local per coordinate, member sums
+# unrolled in member order from 0.0, and the plan's reciprocal divisors baked
+# in as exact float literals. Every float operation and its order are those
+# of the list-loop reference in tests/test_optim.py, so the iterates round
+# the same.
+
+
+def _member_sum(members) -> str:
+    return " + ".join(["0.0"] + [f"s{q}" for q in members])
+
+
+def _sum_cap_projection(members, divisor, broadcasts, total, pad) -> list[str]:
+    """Lines subtracting (total - 1) * divisor from each member coordinate."""
+    return (
+        [f"{pad}d = ({total} - 1.0) * {divisor!r}"]
+        + [f"{pad}s{q} -= d" for q in members]
+        + [f"{pad}broadcasts += {broadcasts}"]
+    )
+
+
+def _kernel_source(plan) -> str:
+    coords = ", ".join(f"s{k}" for k in range(len(plan)))
+    incs = ", ".join(f"i{k}" for k in range(len(plan)))
+    values = ", ".join(f"v{k}" for k in range(len(plan)))
+    lines = [
+        "def kernel(s, incs, wmu, cycles, projection_repeats):",
+        f"    [{coords}] = s",
+        f"    [{incs}] = incs",
+        f"    [{values}] = wmu",
+        "    broadcasts = 0",
+        "    trace = []",
+        "    for _ in range(cycles):",
+    ]
+    for k, (m1, d1, b1, m2, d2, b2) in enumerate(plan):
+        lines += [f"        s{k} += i{k}", f"        t1 = {_member_sum(m1)}"]
+        if not m2:  # both endpoints in one halfspace
+            lines += ["        if t1 > 1.0:", *_sum_cap_projection(m1, d1, b1, "t1", " " * 12)]
+            continue
+        # When both are violated the projections alternate: each pass projects
+        # onto whichever of the two is still violated, re-summing after every
+        # projection.
+        lines += [
+            f"        t2 = {_member_sum(m2)}",
+            "        if t1 > 1.0:",
+            "            if t2 > 1.0:",
+            "                for _rep in range(projection_repeats):",
+            "                    changed = False",
+            "                    if t1 > 1.0:",
+            *_sum_cap_projection(m1, d1, b1, "t1", " " * 24),
+            "                        changed = True",
+            f"                    t2 = {_member_sum(m2)}",
+            "                    if t2 > 1.0:",
+            *_sum_cap_projection(m2, d2, b2, "t2", " " * 24),
+            "                        changed = True",
+            "                    if not changed:",
+            "                        break",
+            f"                    t1 = {_member_sum(m1)}",
+            "            else:",
+            *_sum_cap_projection(m1, d1, b1, "t1", " " * 16),
+            "        elif t2 > 1.0:",
+            *_sum_cap_projection(m2, d2, b2, "t2", " " * 12),
+        ]
+    objective_sum = " + ".join(["0.0"] + [f"v{k} * s{k}" for k in range(len(plan))])
+    lines += [
+        f"        trace.append({objective_sum})",
+        f"    return [{coords}], broadcasts, trace",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def cycle_kernel(constraints: ConstraintSet, divisor_mode: str = "coordinates"):
+    """The compiled cycle loop of solve_review_optimization for one set and mode.
+
+    kernel(s, incs, wmu, cycles, projection_repeats) -> (s, broadcasts, trace)
+    runs the cycles from the list s, with incs[k] = step_size * wmu[k], and
+    returns the final iterate as a list, the broadcast count and the
+    per-cycle objectives. It is generated on first use and cached in
+    constraints.solver_kernels; its source text is kernel.source.
+    """
+    kernels = constraints.solver_kernels
+    kernel = kernels.get(divisor_mode)
+    if kernel is None:
+        source = _kernel_source(constraints.endpoint_plans[divisor_mode])
+        namespace: dict = {}
+        exec(compile(source, f"<cycle kernel: {divisor_mode}>", "exec"), namespace)
+        kernel = kernels[divisor_mode] = namespace["kernel"]
+        kernel.source = source
+    return kernel

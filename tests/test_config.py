@@ -223,6 +223,18 @@ control:
         with pytest.raises(ValueError, match="step_size must be finite"):
             replace(optimizer, step_size=value)
 
+    @pytest.mark.parametrize("field", ["cycles", "projection_repeats"])
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True])
+    def test_non_integer_optimizer_count_named(self, field, value):
+        optimizer = parse_config(MINIMAL).optimizer
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            replace(optimizer, **{field: value})
+
+    def test_numpy_integer_optimizer_counts_accepted(self):
+        optimizer = replace(parse_config(MINIMAL).optimizer, cycles=np.int64(3),
+                            projection_repeats=np.int32(2))
+        assert (optimizer.cycles, optimizer.projection_repeats) == (3, 2)
+
     @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True])
     def test_non_integer_horizon_named(self, value):
         run = parse_config(MINIMAL).run
@@ -287,6 +299,17 @@ control:
 """
         cfg = parse_config(doc)
         assert cfg.network.qos_of(1) is None
+
+    @pytest.mark.parametrize("entry, message", [
+        ("{kind: none, target_slots: abc, theta_hat: .nan}",
+         r"control.qos\[1\].target_slots: expected a number, got 'abc'"),
+        ("{kind: none, theta_hat: .nan}",
+         r"control.qos\[1\].theta_hat: expected a finite number"),
+    ], ids=["target_slots", "theta_hat"])
+    def test_kind_none_values_still_checked(self, entry, message):
+        doc = MINIMAL + f"\ncontrol: {{qos: {{1: {entry}}}}}\n"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(doc)
 
 
 class TestBundledPreset:

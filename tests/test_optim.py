@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +9,13 @@ from drainsched.instances import random_instance
 from drainsched.network import Flow, Halfspace, NetworkSpec, build_constraints, \
     build_link_flow_index, derive_interference_sets
 from drainsched.optim import (
+    DIVISOR_MODES,
+    INIT_MODES,
+    OptDiagnostics,
     OptParams,
     WeightVector,
     alternating_project,
+    cycle_kernel,
     finalize_feasible,
     objective,
     project_onto_halfspace,
@@ -75,6 +81,26 @@ def two_flow_chain():
     spec = derive_interference_sets(spec)
     idx = build_link_flow_index(spec)
     return spec, idx, build_constraints(idx, spec)
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("field", ["w", "mu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_entry_named(self, field, bad):
+        values = {"w": np.ones(3), "mu": np.ones(3)}
+        values[field][1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
+            WeightVector(**values)
+
+    @pytest.mark.parametrize("theta_hat", [math.nan, math.inf, 0.5])
+    def test_bad_theta_hat_named(self, theta_hat):
+        with pytest.raises(ValueError, match="^theta_hat must be finite and >= 1"):
+            WeightVector(w=np.ones(2), mu=np.ones(2), theta_hat=theta_hat)
+
+    def test_zeros_and_empty_accepted(self):
+        wv = WeightVector(w=[0.0, -0.0, 2.0], mu=[-0.0, 0.0, 1e300])
+        assert wv.n_coords == 3
+        assert WeightVector(w=[], mu=[]).n_coords == 0
 
 
 class TestObjective:
@@ -515,6 +541,196 @@ class TestSolverMatchesPublicProjection:
         for inst in instance_stream(200):
             params = OptParams(step_size=inst.step_size, cycles=50)
             self.assert_matches(inst.weights, inst.constraints, params)
+
+
+def list_loop_solve(weights, constraints, params):
+    """solve_review_optimization with its cycles run as a list loop over the
+    endpoint plan; the bitwise reference for the generated kernel."""
+    n = constraints.n_coords
+    if weights.n_coords != n:
+        raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
+    # c2 takes ndarray.max(): on rates of mixed-sign zeros the sign it returns
+    # depends on its vectorized reduction order, which no list loop matches.
+    c2 = weights.theta_hat * float(weights.mu.max()) if n else 0.0
+    beta, c3 = theorem_gap_bound(params.step_size, n, c2)
+
+    s = [1.0 if params.init_mode == "ones" else 0.0] * n
+    wmu = weights.w * weights.mu
+    wmu_l = wmu.tolist()
+    if not any(wmu_l):
+        return finalize_feasible(s, constraints), OptDiagnostics(
+            c2=c2,
+            beta=beta,
+            c3=c3,
+            objective_trace=(0.0,) * params.cycles,
+            final_objective=0.0,
+            handoff_messages=0,
+            excess_broadcasts=0,
+        )
+
+    plan = constraints.endpoint_plans[params.divisor_mode]
+    n_rep = params.projection_repeats
+    step = params.step_size
+    steps = [(k, step * v) + p for k, (v, p) in enumerate(zip(wmu_l, plan))]
+    broadcasts = 0
+    trace = []
+
+    for _ in range(params.cycles):
+        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
+            s[k] += inc
+            total1 = 0.0
+            for q in m1:
+                total1 += s[q]
+            total2 = 0.0
+            for q in m2:
+                total2 += s[q]
+            if total1 > 1.0:
+                if total2 > 1.0:
+                    # Both violated: alternate. Each pass projects onto
+                    # whichever of the two is still violated, re-summing
+                    # after every projection.
+                    for _rep in range(n_rep):
+                        changed = False
+                        if total1 > 1.0:
+                            d = (total1 - 1.0) * d1
+                            for q in m1:
+                                s[q] -= d
+                            broadcasts += b1
+                            changed = True
+                        total2 = 0.0
+                        for q in m2:
+                            total2 += s[q]
+                        if total2 > 1.0:
+                            d = (total2 - 1.0) * d2
+                            for q in m2:
+                                s[q] -= d
+                            broadcasts += b2
+                            changed = True
+                        if not changed:
+                            break
+                        total1 = 0.0
+                        for q in m1:
+                            total1 += s[q]
+                else:
+                    d = (total1 - 1.0) * d1
+                    for q in m1:
+                        s[q] -= d
+                    broadcasts += b1
+            elif total2 > 1.0:
+                d = (total2 - 1.0) * d2
+                for q in m2:
+                    s[q] -= d
+                broadcasts += b2
+        obj = 0.0
+        for v, x in zip(wmu_l, s):
+            obj += v * x
+        trace.append(obj)
+
+    out = finalize_feasible(s, constraints)
+    return out, OptDiagnostics(
+        c2=c2,
+        beta=beta,
+        c3=c3,
+        objective_trace=tuple(trace),
+        final_objective=float(np.dot(wmu, out)),
+        handoff_messages=params.cycles * n,
+        excess_broadcasts=broadcasts,
+    )
+
+
+KERNEL_VARIANTS = [
+    {"divisor_mode": mode, "init_mode": init} for mode in DIVISOR_MODES for init in INIT_MODES
+]
+
+
+def assert_same_solve(weights, constraints, params):
+    got, got_diag = solve_review_optimization(weights, constraints, params)
+    want, want_diag = list_loop_solve(weights, constraints, params)
+    assert_same_bits(got, want)
+    assert got_diag == want_diag
+
+
+class TestCycleKernel:
+    """The generated kernel must give exactly the bits of the list loop."""
+
+    def test_mesh10_reviews(self, monkeypatch):
+        from drainsched import engine
+        from drainsched.experiments import bundled_preset_config
+
+        seen = []
+        solve = engine.solve_review_optimization
+
+        def recording(weights, constraints, params):
+            seen.append((weights, constraints, params))
+            return solve(weights, constraints, params)
+
+        monkeypatch.setattr(engine, "solve_review_optimization", recording)
+        engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
+        assert len(seen) > 100
+        for weights, constraints, params in seen:
+            for variant in KERNEL_VARIANTS:
+                assert_same_solve(weights, constraints, replace(params, **variant))
+
+    def test_instance_stream(self):
+        from drainsched.instances import instance_stream
+
+        for inst in instance_stream(200):
+            for variant in KERNEL_VARIANTS:
+                params = OptParams(step_size=inst.step_size, cycles=50, **variant)
+                assert_same_solve(inst.weights, inst.constraints, params)
+
+    def test_one_kernel_per_set_and_mode(self, monkeypatch):
+        from drainsched import optim
+
+        generated = []
+        source = optim._kernel_source
+
+        def counting(plan):
+            generated.append(plan)
+            return source(plan)
+
+        monkeypatch.setattr(optim, "_kernel_source", counting)
+        spec, idx, cons = two_flow_chain()
+        wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
+        for mode in DIVISOR_MODES * 3:
+            solve_review_optimization(wv, cons, OptParams(divisor_mode=mode))
+        assert generated == [cons.endpoint_plans[mode] for mode in DIVISOR_MODES]
+        assert set(cons.solver_kernels) == set(DIVISOR_MODES)
+        assert cycle_kernel(cons, "coordinates") is cons.solver_kernels["coordinates"]
+        other = build_constraints(idx, spec)
+        assert cycle_kernel(other) is not cycle_kernel(cons)
+
+    def test_set_with_kernels_still_pickles(self):
+        import pickle
+
+        _, _, cons = two_flow_chain()
+        wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
+        want, want_diag = solve_review_optimization(wv, cons, OptParams())
+        copy = pickle.loads(pickle.dumps(cons))
+        assert copy == cons and "solver_kernels" not in vars(copy)
+        got, got_diag = solve_review_optimization(wv, copy, OptParams())
+        assert_same_bits(got, want)
+        assert got_diag == want_diag
+
+    def test_source_is_the_code_that_runs(self):
+        _, _, cons = two_flow_chain()
+        kernel = cycle_kernel(cons)
+        assert kernel.source.startswith("def kernel(s, incs, wmu, cycles, projection_repeats):\n")
+        namespace = {}
+        exec(kernel.source, namespace)
+        args = ([1.0] * 4, [0.3, 0.1, 0.2, 0.4], [3.0, 1.0, 2.0, 4.0], 5, 10)
+        assert namespace["kernel"](*args) == kernel(*args)
+
+    def test_mesh10_source_pinned(self):
+        # Any change to the emitted code must show up here as a reviewed diff.
+        from drainsched.experiments import bundled_preset_config
+
+        spec = bundled_preset_config().network
+        cons = build_constraints(build_link_flow_index(spec), spec)
+        source = cycle_kernel(cons, "coordinates").source
+        assert hashlib.sha256(source.encode()).hexdigest() == (
+            "2eaca24036e65b90918efcf94f827b96fa7765764b175adb7795ec8071542ed3"
+        )
 
 
 class TestDiagnostics:
