@@ -401,8 +401,9 @@ class ConstraintSet:
     def solver_kernels(self) -> dict:
         """Per divisor mode, the solver's generated cycle loop.
 
-        Filled on first use by optim.cycle_kernel from the endpoint plan of
-        that mode, and kept, like the plans, for the life of the set.
+        Filled by optim.cycle_kernel from the endpoint plan of that mode,
+        and kept, like the plans, for the life of the set. None marks a mode
+        solve_review_optimization has solved once, with no kernel yet.
         """
         return {}
 

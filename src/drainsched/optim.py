@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -227,8 +228,8 @@ def solve_review_optimization(
     step, then the endpoint-halfspace repair. After the last cycle the
     iterate is clamped and rescaled into the polytope. The handoff count is
     one message per coordinate step; each applied projection broadcasts one
-    correction value to the other member coordinates. The cycles run in the
-    kernel that cycle_kernel generates for the constraints and divisor mode.
+    correction value to the other member coordinates. The cycles run in
+    list_loop_cycles on a set's first solve and in its cycle_kernel after.
     """
     n = constraints.n_coords
     if weights.n_coords != n:
@@ -252,9 +253,19 @@ def solve_review_optimization(
             excess_broadcasts=0,
         )
 
+    # A set's first solve in a mode runs the list loop. The generated kernel
+    # costs ~5 ms to compile on mesh10, which only repeated solves of one set
+    # (a simulation's reviews) earn back, so it is compiled at the second;
+    # sets solved once (instance batteries, oracle-check) never compile.
+    # solver_kernels[mode] is None in between.
+    mode = params.divisor_mode
+    if mode in constraints.solver_kernels:
+        run = cycle_kernel(constraints, mode)
+    else:
+        constraints.solver_kernels[mode] = None
+        run = partial(list_loop_cycles, constraints.endpoint_plans[mode])
     step = params.step_size
-    kernel = cycle_kernel(constraints, params.divisor_mode)
-    s, broadcasts, trace = kernel(
+    s, broadcasts, trace = run(
         s, [step * v for v in wmu_l], wmu_l, params.cycles, params.projection_repeats
     )
 
@@ -270,18 +281,95 @@ def solve_review_optimization(
     )
 
 
-# -- the generated cycle loop -------------------------------------------------
-#
-# The solver's cycles run in a straight-line function generated once per
-# (ConstraintSet, divisor mode): one local per coordinate, member sums
-# unrolled in member order from 0.0, and the plan's reciprocal divisors baked
-# in as exact float literals. Every float operation and its order are those
-# of the list-loop reference in tests/test_optim.py, so the iterates round
-# the same.
+# -- the cycle loop -----------------------------------------------------------
 
 
-def _member_sum(members) -> str:
-    return " + ".join(["0.0"] + [f"s{q}" for q in members])
+def list_loop_cycles(plan, s, incs, wmu, cycles, projection_repeats):
+    """The solver's cycles as a loop over the endpoint plan.
+
+    Takes the arguments of a cycle_kernel kernel after the plan and returns
+    the same (s, broadcasts, trace); s is updated in place.
+    """
+    steps = [(k, inc) + p for k, (inc, p) in enumerate(zip(incs, plan))]
+    broadcasts = 0
+    trace = []
+
+    for _ in range(cycles):
+        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
+            s[k] += inc
+            total1 = 0.0
+            for q in m1:
+                total1 += s[q]
+            total2 = 0.0
+            for q in m2:
+                total2 += s[q]
+            if total1 > 1.0:
+                if total2 > 1.0:
+                    # Both violated: alternate. Each pass projects onto
+                    # whichever of the two is still violated, re-summing
+                    # after every projection.
+                    for _rep in range(projection_repeats):
+                        changed = False
+                        if total1 > 1.0:
+                            d = (total1 - 1.0) * d1
+                            for q in m1:
+                                s[q] -= d
+                            broadcasts += b1
+                            changed = True
+                        total2 = 0.0
+                        for q in m2:
+                            total2 += s[q]
+                        if total2 > 1.0:
+                            d = (total2 - 1.0) * d2
+                            for q in m2:
+                                s[q] -= d
+                            broadcasts += b2
+                            changed = True
+                        if not changed:
+                            break
+                        total1 = 0.0
+                        for q in m1:
+                            total1 += s[q]
+                else:
+                    d = (total1 - 1.0) * d1
+                    for q in m1:
+                        s[q] -= d
+                    broadcasts += b1
+            elif total2 > 1.0:
+                d = (total2 - 1.0) * d2
+                for q in m2:
+                    s[q] -= d
+                broadcasts += b2
+        obj = 0.0
+        for v, x in zip(wmu, s):
+            obj += v * x
+        trace.append(obj)
+    return s, broadcasts, trace
+
+
+# The generated kernel is the same loop as straight-line code: one local per
+# coordinate, every sum unrolled in member order from 0.0, and the plan's
+# reciprocal divisors baked in as exact float literals. Every float operation
+# and its order are those of list_loop_cycles, so the iterates round the same.
+
+
+def _sum(total, terms, pad) -> list[str]:
+    """Lines setting total to 0.0 + terms[0] + terms[1] + ..., left to right.
+
+    Each statement takes at most 64 terms and the next one continues from
+    total, which is the same left-nested sum: one expression of a few
+    thousand terms exceeds the compiler's recursion limit.
+    """
+    lines = []
+    head = "0.0"
+    for i in range(0, max(len(terms), 1), 64):
+        lines.append(f"{pad}{total} = " + " + ".join([head, *terms[i : i + 64]]))
+        head = total
+    return lines
+
+
+def _member_sum(members, total, pad) -> list[str]:
+    return _sum(total, [f"s{q}" for q in members], pad)
 
 
 def _sum_cap_projection(members, divisor, broadcasts, total, pad) -> list[str]:
@@ -294,9 +382,11 @@ def _sum_cap_projection(members, divisor, broadcasts, total, pad) -> list[str]:
 
 
 def _kernel_source(plan) -> str:
-    coords = ", ".join(f"s{k}" for k in range(len(plan)))
-    incs = ", ".join(f"i{k}" for k in range(len(plan)))
-    values = ", ".join(f"v{k}" for k in range(len(plan)))
+    n = len(plan)
+    coords = ", ".join(f"s{k}" for k in range(n))
+    incs = ", ".join(f"i{k}" for k in range(n))
+    values = ", ".join(f"v{k}" for k in range(n))
+    pad = " " * 8
     lines = [
         "def kernel(s, incs, wmu, cycles, projection_repeats):",
         f"    [{coords}] = s",
@@ -307,37 +397,38 @@ def _kernel_source(plan) -> str:
         "    for _ in range(cycles):",
     ]
     for k, (m1, d1, b1, m2, d2, b2) in enumerate(plan):
-        lines += [f"        s{k} += i{k}", f"        t1 = {_member_sum(m1)}"]
+        lines += [f"{pad}s{k} += i{k}", *_member_sum(m1, "t1", pad)]
         if not m2:  # both endpoints in one halfspace
-            lines += ["        if t1 > 1.0:", *_sum_cap_projection(m1, d1, b1, "t1", " " * 12)]
+            lines += [f"{pad}if t1 > 1.0:", *_sum_cap_projection(m1, d1, b1, "t1", pad + " " * 4)]
             continue
         # When both are violated the projections alternate: each pass projects
         # onto whichever of the two is still violated, re-summing after every
         # projection.
+        rep = pad + " " * 12
         lines += [
-            f"        t2 = {_member_sum(m2)}",
-            "        if t1 > 1.0:",
-            "            if t2 > 1.0:",
-            "                for _rep in range(projection_repeats):",
-            "                    changed = False",
-            "                    if t1 > 1.0:",
-            *_sum_cap_projection(m1, d1, b1, "t1", " " * 24),
-            "                        changed = True",
-            f"                    t2 = {_member_sum(m2)}",
-            "                    if t2 > 1.0:",
-            *_sum_cap_projection(m2, d2, b2, "t2", " " * 24),
-            "                        changed = True",
-            "                    if not changed:",
-            "                        break",
-            f"                    t1 = {_member_sum(m1)}",
-            "            else:",
-            *_sum_cap_projection(m1, d1, b1, "t1", " " * 16),
-            "        elif t2 > 1.0:",
-            *_sum_cap_projection(m2, d2, b2, "t2", " " * 12),
+            *_member_sum(m2, "t2", pad),
+            f"{pad}if t1 > 1.0:",
+            f"{pad}    if t2 > 1.0:",
+            f"{pad}        for _rep in range(projection_repeats):",
+            f"{rep}changed = False",
+            f"{rep}if t1 > 1.0:",
+            *_sum_cap_projection(m1, d1, b1, "t1", rep + " " * 4),
+            f"{rep}    changed = True",
+            *_member_sum(m2, "t2", rep),
+            f"{rep}if t2 > 1.0:",
+            *_sum_cap_projection(m2, d2, b2, "t2", rep + " " * 4),
+            f"{rep}    changed = True",
+            f"{rep}if not changed:",
+            f"{rep}    break",
+            *_member_sum(m1, "t1", rep),
+            f"{pad}    else:",
+            *_sum_cap_projection(m1, d1, b1, "t1", pad + " " * 8),
+            f"{pad}elif t2 > 1.0:",
+            *_sum_cap_projection(m2, d2, b2, "t2", pad + " " * 4),
         ]
-    objective_sum = " + ".join(["0.0"] + [f"v{k} * s{k}" for k in range(len(plan))])
     lines += [
-        f"        trace.append({objective_sum})",
+        *_sum("obj", [f"v{k} * s{k}" for k in range(n)], pad),
+        f"{pad}trace.append(obj)",
         f"    return [{coords}], broadcasts, trace",
     ]
     return "\n".join(lines) + "\n"
@@ -351,6 +442,7 @@ def cycle_kernel(constraints: ConstraintSet, divisor_mode: str = "coordinates"):
     returns the final iterate as a list, the broadcast count and the
     per-cycle objectives. It is generated on first use and cached in
     constraints.solver_kernels; its source text is kernel.source.
+    solve_review_optimization uses it from a set's second solve on.
     """
     kernels = constraints.solver_kernels
     kernel = kernels.get(divisor_mode)

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from drainsched.instances import random_instance
-from drainsched.network import Flow, Halfspace, NetworkSpec, build_constraints, \
+from drainsched.network import ConstraintSet, Flow, Halfspace, NetworkSpec, build_constraints, \
     build_link_flow_index, derive_interference_sets
 from drainsched.optim import (
     DIVISOR_MODES,
     INIT_MODES,
-    OptDiagnostics,
     OptParams,
     WeightVector,
     alternating_project,
     cycle_kernel,
     finalize_feasible,
+    list_loop_cycles,
     objective,
     project_onto_halfspace,
     pseudo_draining_time,
@@ -543,111 +543,51 @@ class TestSolverMatchesPublicProjection:
             self.assert_matches(inst.weights, inst.constraints, params)
 
 
-def list_loop_solve(weights, constraints, params):
-    """solve_review_optimization with its cycles run as a list loop over the
-    endpoint plan; the bitwise reference for the generated kernel."""
-    n = constraints.n_coords
-    if weights.n_coords != n:
-        raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
-    # c2 takes ndarray.max(): on rates of mixed-sign zeros the sign it returns
-    # depends on its vectorized reduction order, which no list loop matches.
-    c2 = weights.theta_hat * float(weights.mu.max()) if n else 0.0
-    beta, c3 = theorem_gap_bound(params.step_size, n, c2)
-
-    s = [1.0 if params.init_mode == "ones" else 0.0] * n
-    wmu = weights.w * weights.mu
-    wmu_l = wmu.tolist()
-    if not any(wmu_l):
-        return finalize_feasible(s, constraints), OptDiagnostics(
-            c2=c2,
-            beta=beta,
-            c3=c3,
-            objective_trace=(0.0,) * params.cycles,
-            final_objective=0.0,
-            handoff_messages=0,
-            excess_broadcasts=0,
-        )
-
-    plan = constraints.endpoint_plans[params.divisor_mode]
-    n_rep = params.projection_repeats
-    step = params.step_size
-    steps = [(k, step * v) + p for k, (v, p) in enumerate(zip(wmu_l, plan))]
-    broadcasts = 0
-    trace = []
-
-    for _ in range(params.cycles):
-        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
-            s[k] += inc
-            total1 = 0.0
-            for q in m1:
-                total1 += s[q]
-            total2 = 0.0
-            for q in m2:
-                total2 += s[q]
-            if total1 > 1.0:
-                if total2 > 1.0:
-                    # Both violated: alternate. Each pass projects onto
-                    # whichever of the two is still violated, re-summing
-                    # after every projection.
-                    for _rep in range(n_rep):
-                        changed = False
-                        if total1 > 1.0:
-                            d = (total1 - 1.0) * d1
-                            for q in m1:
-                                s[q] -= d
-                            broadcasts += b1
-                            changed = True
-                        total2 = 0.0
-                        for q in m2:
-                            total2 += s[q]
-                        if total2 > 1.0:
-                            d = (total2 - 1.0) * d2
-                            for q in m2:
-                                s[q] -= d
-                            broadcasts += b2
-                            changed = True
-                        if not changed:
-                            break
-                        total1 = 0.0
-                        for q in m1:
-                            total1 += s[q]
-                else:
-                    d = (total1 - 1.0) * d1
-                    for q in m1:
-                        s[q] -= d
-                    broadcasts += b1
-            elif total2 > 1.0:
-                d = (total2 - 1.0) * d2
-                for q in m2:
-                    s[q] -= d
-                broadcasts += b2
-        obj = 0.0
-        for v, x in zip(wmu_l, s):
-            obj += v * x
-        trace.append(obj)
-
-    out = finalize_feasible(s, constraints)
-    return out, OptDiagnostics(
-        c2=c2,
-        beta=beta,
-        c3=c3,
-        objective_trace=tuple(trace),
-        final_objective=float(np.dot(wmu, out)),
-        handoff_messages=params.cycles * n,
-        excess_broadcasts=broadcasts,
-    )
-
-
 KERNEL_VARIANTS = [
     {"divisor_mode": mode, "init_mode": init} for mode in DIVISOR_MODES for init in INIT_MODES
 ]
 
 
-def assert_same_solve(weights, constraints, params):
-    got, got_diag = solve_review_optimization(weights, constraints, params)
-    want, want_diag = list_loop_solve(weights, constraints, params)
-    assert_same_bits(got, want)
-    assert got_diag == want_diag
+def assert_same_cycles(weights, constraints, params):
+    """The kernel and list_loop_cycles, from the arguments the solver passes,
+    give the same bits."""
+    wmu = (weights.w * weights.mu).tolist()
+    s = [1.0 if params.init_mode == "ones" else 0.0] * len(wmu)
+    args = ([params.step_size * v for v in wmu], wmu, params.cycles, params.projection_repeats)
+    mode = params.divisor_mode
+    got_s, got_broadcasts, got_trace = cycle_kernel(constraints, mode)(list(s), *args)
+    want_s, want_broadcasts, want_trace = list_loop_cycles(
+        constraints.endpoint_plans[mode], list(s), *args
+    )
+    assert_same_bits(np.array(got_s, dtype=float), np.array(want_s, dtype=float))
+    assert got_broadcasts == want_broadcasts
+    assert_same_bits(np.array(got_trace, dtype=float), np.array(want_trace, dtype=float))
+
+
+def counting_generations(monkeypatch):
+    """Record the plan of every kernel generated from now on."""
+    from drainsched import optim
+
+    generated = []
+    source = optim._kernel_source
+
+    def counting(plan):
+        generated.append(plan)
+        return source(plan)
+
+    monkeypatch.setattr(optim, "_kernel_source", counting)
+    return generated
+
+
+def wide_constraints(n):
+    """n coordinates in overlapping groups of six, plus one halfspace holding
+    all of them as coordinate 0's tail, so one member sum has n terms."""
+    groups = [tuple(range(max(0, g - 3), min(n, g + 3))) for g in range(0, n, 3)]
+    last = len(groups) - 1
+    endpoints = tuple((last + 1 if k == 0 else k // 3, min(k // 3 + 1, last)) for k in range(n))
+    groups.append(tuple(range(n)))
+    memberships = tuple(tuple(h for h, g in enumerate(groups) if k in g) for k in range(n))
+    return ConstraintSet(tuple(map(Halfspace.sum_cap, groups)), endpoints, memberships, n)
 
 
 class TestCycleKernel:
@@ -669,7 +609,7 @@ class TestCycleKernel:
         assert len(seen) > 100
         for weights, constraints, params in seen:
             for variant in KERNEL_VARIANTS:
-                assert_same_solve(weights, constraints, replace(params, **variant))
+                assert_same_cycles(weights, constraints, replace(params, **variant))
 
     def test_instance_stream(self):
         from drainsched.instances import instance_stream
@@ -677,19 +617,30 @@ class TestCycleKernel:
         for inst in instance_stream(200):
             for variant in KERNEL_VARIANTS:
                 params = OptParams(step_size=inst.step_size, cycles=50, **variant)
-                assert_same_solve(inst.weights, inst.constraints, params)
+                assert_same_cycles(inst.weights, inst.constraints, params)
+
+    def test_large_set(self):
+        # A member sum and an objective of 3000 terms each: emitted as one
+        # expression, either would exceed the compiler's recursion limit.
+        cons = wide_constraints(3000)
+        rng = np.random.default_rng(7)
+        wv = WeightVector(w=rng.uniform(0, 50, 3000), mu=rng.uniform(0, 3, 3000))
+        for mode in DIVISOR_MODES:
+            assert_same_cycles(wv, cons, OptParams(step_size=1e-3, cycles=2, divisor_mode=mode))
+
+    def test_first_solve_runs_the_list_loop(self, monkeypatch):
+        generated = counting_generations(monkeypatch)
+        _, _, cons = two_flow_chain()
+        wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
+        first, first_diag = solve_review_optimization(wv, cons, OptParams())
+        assert generated == [] and cons.solver_kernels == {"coordinates": None}
+        second, second_diag = solve_review_optimization(wv, cons, OptParams())
+        assert generated == [cons.endpoint_plans["coordinates"]]
+        assert_same_bits(second, first)
+        assert second_diag == first_diag
 
     def test_one_kernel_per_set_and_mode(self, monkeypatch):
-        from drainsched import optim
-
-        generated = []
-        source = optim._kernel_source
-
-        def counting(plan):
-            generated.append(plan)
-            return source(plan)
-
-        monkeypatch.setattr(optim, "_kernel_source", counting)
+        generated = counting_generations(monkeypatch)
         spec, idx, cons = two_flow_chain()
         wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
         for mode in DIVISOR_MODES * 3:
@@ -705,12 +656,15 @@ class TestCycleKernel:
 
         _, _, cons = two_flow_chain()
         wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
-        want, want_diag = solve_review_optimization(wv, cons, OptParams())
+        for _ in range(2):
+            want, want_diag = solve_review_optimization(wv, cons, OptParams())
+        assert callable(cons.solver_kernels["coordinates"])
         copy = pickle.loads(pickle.dumps(cons))
         assert copy == cons and "solver_kernels" not in vars(copy)
-        got, got_diag = solve_review_optimization(wv, copy, OptParams())
-        assert_same_bits(got, want)
-        assert got_diag == want_diag
+        for _ in range(2):
+            got, got_diag = solve_review_optimization(wv, copy, OptParams())
+            assert_same_bits(got, want)
+            assert got_diag == want_diag
 
     def test_source_is_the_code_that_runs(self):
         _, _, cons = two_flow_chain()
@@ -729,7 +683,7 @@ class TestCycleKernel:
         cons = build_constraints(build_link_flow_index(spec), spec)
         source = cycle_kernel(cons, "coordinates").source
         assert hashlib.sha256(source.encode()).hexdigest() == (
-            "2eaca24036e65b90918efcf94f827b96fa7765764b175adb7795ec8071542ed3"
+            "b67534513f1f178788bf10e03910067417f47abddc0a07bb5e61b82fc7bf21f8"
         )
 
 
