@@ -50,6 +50,8 @@ def rate_table(
 
     Each rate is the Shannon-style log(1 + gain * power / noise), natural log
     by default or base 2; the arguments shared by every link are checked once.
+    A finite gain whose gain * power / noise overflows to inf is a ConfigError
+    naming the link: its rate would be infinite.
     """
     if power <= 0:
         raise ValueError(f"power must be > 0, got {power}")
@@ -62,7 +64,13 @@ def rate_table(
     for link, g in gains.items():
         if g < 0:
             raise ValueError(f"gain must be >= 0, got {g}")
-        rate = math.log1p(g * power / noise)
+        snr = g * power / noise
+        if snr == math.inf > g:  # a finite gain whose product overflows
+            raise ConfigError(
+                f"channel: link {link}: gain * power / noise = {g!r} * {power!r} / {noise!r}"
+                " overflows the float range"
+            )
+        rate = math.log1p(snr)
         if ln2 is not None:
             rate /= ln2
         out[link] = rate

@@ -11,6 +11,13 @@ cannot be told apart, so the packet phase costs O(buckets) per slot, not
 O(packets), and a queue grows by at most one bucket per push, not by one
 entry per packet.
 
+A review fixes the slot schedule and the link rates until the next review,
+so the engine runs the packet phase one review window at a time
+(Simulation._advance): the engine state is loaded into locals once per call,
+the window's arrivals are read with one slice per stream, and the slots of
+the window then run in a plain loop. run() calls step() on each review slot
+and _advance for the rest of that window; step() is _advance over one slot.
+
 With invariant checking enabled the engine verifies, every slot, the exact
 queue bookkeeping identity (arrivals + receptions - transmissions), the
 global packet-count identity, and interference exclusivity of the links that
@@ -20,6 +27,7 @@ actually transmitted.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections import deque
 from collections.abc import Iterable
@@ -30,7 +38,7 @@ import numpy as np
 from . import channel as chan
 from .config import RunParams, SimConfig
 from .control import build_slot_schedule, next_review_time, update_qos_weights
-from .network import build_constraints, build_link_flow_index
+from .network import ConfigError, build_constraints, build_link_flow_index
 from .optim import WeightVector, objective, solve_review_optimization
 from .oracle import oracle_solve
 
@@ -203,8 +211,9 @@ class Simulation:
         )
 
         # Pregenerated Poisson arrivals, one independent substream per
-        # (source, destination) arrival stream in sorted order.
-        self._streams: list[tuple[int, int, np.ndarray]] = []
+        # (source, destination) arrival stream in sorted order, each kept with
+        # its queue and its flow's record.
+        self._streams: list[tuple[int, FlowMetrics, np.ndarray]] = []
         for si, fl in enumerate(sorted(net.flows, key=lambda fl: (fl.source, fl.destination))):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=self.seed, spawn_key=(ARRIVAL_STREAM, si))
@@ -214,7 +223,9 @@ class Simulation:
                 if self.horizon and fl.arrival_rate > 0
                 else np.zeros(self.horizon, dtype=np.int64)
             )
-            self._streams.append((qpos[(fl.source, fl.destination)], fl.destination, counts))
+            self._streams.append(
+                (qpos[(fl.source, fl.destination)], self._flows[fl.destination], counts)
+            )
 
         self._qbar = config.control.safety_stock_pkts
         self._fmu = [0] * nk
@@ -256,7 +267,13 @@ class Simulation:
             gains, cfg.channel.tx_power, cfg.channel.noise_power, cfg.channel.log_base
         )
         mu = [rates[link] for link in self._link_of]
-        self._fmu = [int(r) for r in mu]
+        try:
+            self._fmu = [int(r) for r in mu]
+        except OverflowError:  # an infinite gain; rate_table rejects finite ones
+            link = next(link for link, r in rates.items() if r == math.inf)
+            raise ConfigError(
+                f"channel: link {link}: power gain {gains[link]!r} gives an infinite rate"
+            ) from None
 
         theta = update_qos_weights(self._qspecs, self._flows)
         qlen = self._qlen
@@ -308,97 +325,140 @@ class Simulation:
 
     def step(self) -> None:
         """Advance one slot: review if due, arrivals, service, accounting."""
-        t = self.t
-        if t == self.t_rev:
-            self._review(t)
+        self._advance(self.t + 1)
 
+    def _advance(self, stop: int) -> None:
+        """Run slots self.t .. stop - 1, one review window at a time.
+
+        Each pass of the outer loop reviews if due, then runs the slots up to
+        the next review or stop under one slot schedule, with that window's
+        arrivals read from one slice per stream. A window whose next review
+        lies in the past (t_rev < t, reachable only by setting the clock by
+        hand) never reviews again; its slots past the end of the schedule are
+        idle.
+        """
+        t = self.t
         born = self._born
         count = self._count
         qlen = self._qlen
+        qsum = self._qsum
+        arr_cum = self._arr_cum
+        rx_cum = self._rx_cum
+        tx_cum = self._tx_cum
         flows = self._flows
-        for qi, fid, counts in self._streams:
-            n_new = int(counts[t])
-            if n_new:
-                _push(born[qi], count[qi], ((t, n_new),))
-                qlen[qi] += n_new
-                flows[fid].created += n_new
-                self._arr_cum[qi] += n_new
-
-        active = self._slots[t - self.t_prev]
-        if active:
-            qbar = self._qbar
+        qidx_of = self._qidx_of
+        f_of = self._f_of
+        rxq_of = self._rxq_of
+        deadlines = self._deadline
+        qbar = self._qbar
+        check = self._check
+        masks = self.constraints.masks
+        while t < stop:
+            if t == self.t_rev:
+                self._review(t)
+            t_rev = self.t_rev
+            end = t_rev if t < t_rev < stop else stop
             fmu = self._fmu
-            stage: list[tuple[int, int, list[tuple[int, int]]]] = []
-            txmask = 0
-            for k in active:
-                qi = self._qidx_of[k]
-                avail = qlen[qi] - qbar
-                if avail <= 0:
-                    continue
-                n_mv = fmu[k]
-                if n_mv > avail:
-                    n_mv = avail
-                if n_mv <= 0:
-                    continue
-                rq = self._rxq_of[k]
-                if rq < 0:
-                    fid = self._f_of[k]
-                    c = flows[fid]
-                    hist = c.histogram
-                    deadline = self._deadline[fid]
-                    c.delivered += n_mv
-                    runs = None
-                else:
-                    runs = []
-                    stage.append((rq, n_mv, runs))
-                # Drain n_mv packets from the head; only the head bucket is
-                # ever split. Each (creation slot, n) piece is delivered as a
-                # whole or staged for the next hop.
-                b = born[qi]
-                cn = count[qi]
-                rem = n_mv
-                while rem:
-                    n = cn[0]
-                    if n > rem:
-                        cn[0] = n - rem
-                        slot = b[0]
-                        n = rem
-                    else:
-                        cn.popleft()
-                        slot = b.popleft()
-                    rem -= n
-                    if runs is None:
-                        d = t - slot
-                        c.delay_sum += d * n
-                        if deadline is not None and d > deadline:
-                            c.late += n
-                        hist[d] = hist.get(d, 0) + n
-                    else:
-                        runs.append((slot, n))
-                qlen[qi] -= n_mv
-                self._tx_cum[qi] += n_mv
-                if self._check:
-                    m = self.constraints.masks[k]
-                    if txmask & m:
-                        self.interference_violations += 1
-                    txmask |= m
-            for rq, n_mv, runs in stage:
-                _push(born[rq], count[rq], runs)
-                qlen[rq] += n_mv
-                self._rx_cum[rq] += n_mv
+            off = t - self.t_prev
+            acts = self._slots[off:off + end - t] if off >= 0 else ()
+            acts += ((),) * (end - t - len(acts))  # past the schedule: idle
+            arrivals = [(qi, fm, counts[t:end].tolist()) for qi, fm, counts in self._streams]
+            for i, active in enumerate(acts):
+                for qi, fm, arr in arrivals:
+                    n_new = arr[i]
+                    if n_new:
+                        b = born[qi]
+                        if b and b[-1] == t:
+                            count[qi][-1] += n_new
+                        else:
+                            b.append(t)
+                            count[qi].append(n_new)
+                        qlen[qi] += n_new
+                        fm.created += n_new
+                        arr_cum[qi] += n_new
 
-        self._qsum = list(map(operator.add, self._qsum, qlen))
+                if active:
+                    stage: list[tuple[int, int]] = []
+                    txmask = 0
+                    for k in active:
+                        qi = qidx_of[k]
+                        avail = qlen[qi] - qbar
+                        if avail <= 0:
+                            continue
+                        n_mv = fmu[k]
+                        if n_mv > avail:
+                            n_mv = avail
+                        if n_mv <= 0:
+                            continue
+                        rq = rxq_of[k]
+                        if rq < 0:
+                            fid = f_of[k]
+                            c = flows[fid]
+                            hist = c.histogram
+                            deadline = deadlines[fid]
+                            c.delivered += n_mv
+                        else:
+                            # Forwarded pieces go straight onto the next hop's
+                            # tail, but its length grows only once every link
+                            # of the slot has sent (stage). Links take at most
+                            # that length minus qbar from the head, so no
+                            # packet moves twice in one slot; a piece merged
+                            # into an equal-slot tail bucket is
+                            # indistinguishable from the rest of it.
+                            rb = born[rq]
+                            rc = count[rq]
+                            stage.append((rq, n_mv))
+                        # Drain n_mv packets from the head; only the head
+                        # bucket is ever split. Each (creation slot, n) piece
+                        # is delivered as a whole or forwarded.
+                        b = born[qi]
+                        cn = count[qi]
+                        rem = n_mv
+                        while rem:
+                            n = cn[0]
+                            if n > rem:
+                                cn[0] = n - rem
+                                slot = b[0]
+                                n = rem
+                            else:
+                                cn.popleft()
+                                slot = b.popleft()
+                            rem -= n
+                            if rq < 0:
+                                d = t - slot
+                                c.delay_sum += d * n
+                                if deadline is not None and d > deadline:
+                                    c.late += n
+                                hist[d] = hist.get(d, 0) + n
+                            elif rb and rb[-1] == slot:
+                                rc[-1] += n
+                            else:
+                                rb.append(slot)
+                                rc.append(n)
+                        qlen[qi] -= n_mv
+                        tx_cum[qi] += n_mv
+                        if check:
+                            m = masks[k]
+                            if txmask & m:
+                                self.interference_violations += 1
+                            txmask |= m
+                    for rq, n_mv in stage:
+                        qlen[rq] += n_mv
+                        rx_cum[rq] += n_mv
 
-        if self._check:
-            for qi in range(len(qlen)):
-                if qlen[qi] != self._arr_cum[qi] + self._rx_cum[qi] - self._tx_cum[qi]:
-                    self.conservation_violations += 1
-            created = sum(fm.created for fm in flows.values())
-            delivered = sum(fm.delivered for fm in flows.values())
-            if created != delivered + sum(qlen):
-                self.conservation_violations += 1
+                qsum = list(map(operator.add, qsum, qlen))
 
-        self.t = t + 1
+                if check:
+                    for qi in range(len(qlen)):
+                        if qlen[qi] != arr_cum[qi] + rx_cum[qi] - tx_cum[qi]:
+                            self.conservation_violations += 1
+                    created = sum(fm.created for fm in flows.values())
+                    delivered = sum(fm.delivered for fm in flows.values())
+                    if created != delivered + sum(qlen):
+                        self.conservation_violations += 1
+                t += 1
+            self._qsum = qsum
+            self.t = t
 
     # -- reporting ------------------------------------------------------------
 
@@ -430,8 +490,10 @@ class Simulation:
         )
 
     def run(self) -> MetricsReport:
-        for _ in range(self.horizon):
+        # One step() per review slot, then the rest of its window in one call.
+        while self.t < self.horizon:
             self.step()
+            self._advance(min(self.t_rev, self.horizon))
         return self.report()
 
 

@@ -237,7 +237,15 @@ def solve_review_optimization(
     # c2 takes ndarray.max(): on rates of mixed-sign zeros the sign it returns
     # depends on its vectorized reduction order, which no list loop matches.
     c2 = weights.theta_hat * float(weights.mu.max()) if n else 0.0
-    beta, c3 = theorem_gap_bound(params.step_size, n, c2)
+    try:
+        beta, c3 = theorem_gap_bound(params.step_size, n, c2)
+    except OverflowError:  # c2**2 beyond the float range
+        c3 = math.inf
+    if c3 == math.inf:
+        raise ValueError(
+            f"mu too large: the gap bound c3 overflows at c2 = theta_hat * max(mu) = {c2!r}"
+            f" and step size {params.step_size!r}"
+        )
 
     s = [1.0 if params.init_mode == "ones" else 0.0] * n
     wmu = weights.w * weights.mu
@@ -270,12 +278,16 @@ def solve_review_optimization(
     )
 
     out = finalize_feasible(s, constraints)
+    final = float(np.dot(wmu, out))
+    # An infinite product w[k] * mu[k] makes the objective inf or NaN.
+    if not final < math.inf:
+        raise ValueError(f"w and mu too large: the objective sum(w * mu * s) is {final!r}")
     return out, OptDiagnostics(
         c2=c2,
         beta=beta,
         c3=c3,
         objective_trace=tuple(trace),
-        final_objective=float(np.dot(wmu, out)),
+        final_objective=final,
         handoff_messages=params.cycles * n,
         excess_broadcasts=broadcasts,
     )

@@ -46,6 +46,13 @@ class TestComputeRate:
         with pytest.raises(ValueError):
             one_link_rate(1.0, noise=-2.0)
 
+    def test_overflowing_snr_is_config_error_naming_the_link(self):
+        gains = {(0, 1): 1.0, (2, 3): 1e300}
+        with pytest.raises(ConfigError, match=r"link \(2, 3\): gain \* power / noise = "
+                                              r"1e\+300 \* 1e\+300 / 1\.0 overflows"):
+            rate_table(gains, power=1e300)
+        assert rate_table(gains, power=1.0)[(2, 3)] == pytest.approx(math.log(1e300))
+
     def test_monotone_in_gain(self):
         rng = np.random.default_rng(7)
         gains = np.sort(rng.uniform(0, 50, 100))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from drainsched.cli import main
@@ -78,6 +79,31 @@ class TestRunCommand:
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
         assert f"config error: {key}: expected a finite number" in capsys.readouterr().err
+
+    def test_overflowing_link_rate_is_config_error(self, tmp_path, capsys):
+        # Each channel value is finite, but gain * tx_power / noise is not.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SMALL_YAML.replace(
+            "{gain_model: fixed, fixed_gain: 4.0}",
+            "{gain_model: fixed, fixed_gain: 1.0e+300, tx_power: 1.0e+300}",
+        ))
+        status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+        assert status == 1
+        assert "config error: channel: link (0, 1): gain * power / noise" in capsys.readouterr().err
+
+    def test_infinite_drawn_gain_is_config_error(self, tmp_path, capsys):
+        # Nodes 1e-200 apart: the squared length underflows to 0, so the
+        # Rayleigh gain of the link is infinite.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            SMALL_YAML.replace("[0.5, 0.0]", "[1.0e-200, 0.0]")
+            .replace("{gain_model: fixed, fixed_gain: 4.0}", "{gain_model: rayleigh}")
+        )
+        with np.errstate(divide="ignore"):
+            status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+        assert status == 1
+        assert "config error: channel: link (0, 1): power gain inf gives an infinite rate" \
+            in capsys.readouterr().err
 
     def test_missing_config_file_exit_code_2(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),

@@ -7,8 +7,9 @@ import pytest
 
 from drainsched.config import parse_config, with_optimizer, with_run
 from drainsched.engine import MetricsReport, Simulation, flow_statistics, run_simulation
-from drainsched.experiments import bundled_preset_config
+from drainsched.experiments import bundled_preset_config, export_metrics
 from drainsched.network import ConfigError
+from test_export_digest import longwin_config
 
 SINGLE_LINK_YAML = """
 network:
@@ -231,6 +232,24 @@ class TestBucketQueues:
         assert fm.delay_sum == stats[2]["delay_sum"]
         assert fm.histogram == dict(sorted(stats[2]["hist"].items()))
 
+    def test_packets_received_in_a_slot_move_on_the_next(self):
+        # Interference keeps a link and the next hop's link apart, so the
+        # engine never activates both in one slot; force it to. Node 1 may
+        # send only the packet it held at the slot's start, though the two it
+        # receives merge into that packet's bucket.
+        sim = Simulation(parse_config(TWO_HOP_YAML), seed=1)
+        assert sim._link_of == [(0, 1), (1, 2)]
+        sim.inject(0, 2, [0, 0])
+        sim.inject(1, 2, [0])
+        sim.t_rev = 10
+        sim._slots = ((0, 1),) * 10
+        sim._fmu = [2, 2]
+        sim.step()
+        assert sim.report().flows[2].delivered == 1
+        assert list(zip(sim._born[1], sim._count[1])) == [(0, 2)]
+        sim.step()
+        assert sim.report().flows[2].delivered == 3
+
     def test_overloaded_mesh_holds_buckets_not_packets(self):
         # Arrivals x3 exceed capacity: the backlog grows with every slot, but
         # a queue gains at most one bucket per creation slot pushed to it.
@@ -398,3 +417,102 @@ class TestReportSerialization:
         rep = run_simulation(cfg, seed=4)
         again = MetricsReport.from_dict(rep.to_dict())
         assert again == rep
+
+
+def export_bytes(report, path):
+    export_metrics(report, "json", path)
+    return path.read_bytes()
+
+
+def step_to(sim, stop):
+    """Advance sim to slot stop one step() at a time."""
+    while sim.t < stop:
+        sim.step()
+
+
+class TestWindowLoop:
+    """run() runs each review window in one call; a loop of step() calls, one
+    slot each, must give the same exports."""
+
+    @pytest.mark.parametrize("build, kwargs", [
+        (bundled_preset_config, {}),
+        (bundled_preset_config, {"check_invariants": True}),
+        (bundled_preset_config, {"collect_periods": False}),
+        (longwin_config, {}),
+        (longwin_config, {"check_invariants": True}),
+    ], ids=["mesh10", "mesh10-checked", "mesh10-no-periods", "longwin", "longwin-checked"])
+    def test_run_matches_step_loop(self, tmp_path, build, kwargs):
+        sims = [Simulation(build(), seed=1, horizon=3000, **kwargs) for _ in range(2)]
+        by_run = sims[0].run()
+        step_to(sims[1], 3000)
+        by_step = sims[1].report()
+        assert export_bytes(by_run, tmp_path / "run.json") == \
+            export_bytes(by_step, tmp_path / "step.json")
+        if kwargs.get("check_invariants"):
+            assert by_run.conservation_violations == by_run.interference_violations == 0
+
+    def test_trace_file_matches_step_loop(self, tmp_path):
+        exports = []
+        traces = []
+        for i in range(2):
+            with open(tmp_path / f"trace{i}.jsonl", "w", encoding="utf-8") as fh:
+                sim = Simulation(bundled_preset_config(), seed=1, horizon=3000, trace_file=fh)
+                if i == 0:
+                    report = sim.run()
+                else:
+                    step_to(sim, 3000)
+                    report = sim.report()
+            exports.append(export_bytes(report, tmp_path / f"run{i}.json"))
+            traces.append((tmp_path / f"trace{i}.jsonl").read_bytes())
+        assert exports[0] == exports[1]
+        assert traces[0] == traces[1]
+        assert traces[0].count(b"\n") == len(report.periods)
+
+    def test_report_after_stopping_mid_window(self, tmp_path):
+        by_step = Simulation(bundled_preset_config(), seed=1, horizon=3000)
+        step_to(by_step, 1500)
+        while not by_step.t_prev < by_step.t < by_step.t_rev:
+            by_step.step()
+        stop = by_step.t
+        windowed = Simulation(bundled_preset_config(), seed=1, horizon=3000)
+        windowed._advance(stop)
+        assert (windowed.t, windowed.t_prev, windowed.t_rev) == \
+            (stop, by_step.t_prev, by_step.t_rev)
+        assert export_bytes(windowed.report(), tmp_path / "a.json") == \
+            export_bytes(by_step.report(), tmp_path / "b.json")
+        # resuming from the middle of a window changes nothing either
+        assert export_bytes(windowed.run(), tmp_path / "c.json") == \
+            export_bytes(Simulation(bundled_preset_config(), seed=1, horizon=3000).run(),
+                         tmp_path / "d.json")
+
+    def test_run_steps_once_per_review(self, monkeypatch):
+        step = Simulation.step
+        at_review = []
+
+        def counted(self):
+            at_review.append(self.t == self.t_rev)
+            step(self)
+
+        monkeypatch.setattr(Simulation, "step", counted)
+        report = Simulation(bundled_preset_config(), seed=1, horizon=500).run()
+        assert len(at_review) == len(report.periods) > 0
+        assert all(at_review)
+
+    @pytest.mark.parametrize("steps_before, jump", [(0, 10), (20, 0), (20, 10)])
+    def test_review_clock_set_into_the_past(self, steps_before, jump):
+        # The next review lies behind the clock: no slot is a review slot any
+        # more, and slots past the last schedule's window are idle.
+        sim = Simulation(bundled_preset_config(), seed=1, horizon=200, check_invariants=True)
+        step_to(sim, steps_before)
+        reviews = len(sim.periods)
+        sim.t += jump
+        sim.t_rev = sim.t_prev - 1
+        sent = sum(sim._tx_cum)
+        sim.step()
+        report = sim.run()
+        assert sim.t == 200
+        assert len(report.periods) == reviews
+        assert report.conservation_violations == 0
+        if steps_before == 0:
+            assert sum(sim._tx_cum) == sent == 0
+            assert sum(fm.created for fm in report.flows.values()) == sum(sim._qlen) > 0

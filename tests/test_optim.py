@@ -491,6 +491,29 @@ class TestSolveReviewOptimization:
         s, _ = solve_review_optimization(inst.weights, inst.constraints, params)
         assert inst.constraints.feasible(s)
 
+    @staticmethod
+    def mesh10_constraints():
+        from drainsched.experiments import bundled_preset_config
+
+        spec = bundled_preset_config().network
+        return build_constraints(build_link_flow_index(spec), spec)
+
+    def test_overflowing_weight_products_rejected(self):
+        # Each w[k] and mu[k] is finite, but w[k] * mu[k] = 1e310 is not; the
+        # first solve runs the list loop, the second the generated kernel.
+        cons = self.mesh10_constraints()
+        wv = WeightVector(w=[1e300] * 15, mu=[1e10] * 15)
+        for _ in range(2):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match=r"^w and mu too large"):
+                solve_review_optimization(wv, cons, OptParams())
+
+    def test_overflowing_gap_bound_rejected(self):
+        # c2**2 = 1e400 is beyond the float range.
+        wv = WeightVector(w=[1.0] * 15, mu=[1e200] * 15)
+        with pytest.raises(ValueError, match=r"^mu too large: .* = 1e\+200"):
+            solve_review_optimization(wv, self.mesh10_constraints(), OptParams())
+
 
 def public_reference_solve(weights, constraints, params):
     """The cyclic method written with the public projection functions that
