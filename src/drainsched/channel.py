@@ -27,13 +27,21 @@ def draw_gains(
     always returns the same gains, and different periods use independent
     substreams regardless of how many periods were drawn before.
     """
-    if scale_constant <= 0:
-        raise ConfigError(f"channel scale constant must be > 0, got {scale_constant}")
+    if not 0 < scale_constant < math.inf:
+        raise ConfigError(f"channel scale constant must be finite and > 0, got {scale_constant}")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(CHANNEL_STREAM, period))
     )
-    scales = scale_constant / spec.squared_lengths
-    return {link: a * a for link, a in zip(spec.links, rng.rayleigh(scale=scales).tolist())}
+    # numpy's rayleigh(scale) draws scale * sqrt(2.0 * standard_exponential())
+    # per element, so one exponential fill of the same stream gives the same
+    # amplitudes bit for bit without its per-call array handling.
+    draws = rng.standard_exponential(len(spec.links)).tolist()
+    sqrt = math.sqrt
+    gains = {}
+    for link, d2, e in zip(spec.links, spec.squared_lengths.tolist(), draws):
+        a = scale_constant / d2 * sqrt(2.0 * e)
+        gains[link] = a * a
+    return gains
 
 
 def fixed_gains(spec: NetworkSpec, gain: float) -> dict[Link, float]:

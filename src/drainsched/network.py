@@ -114,9 +114,20 @@ class NetworkSpec:
             if (i, j) in seen:
                 raise ConfigError(f"network.links[{li}]: duplicate link ({i}, {j})")
             seen.add((i, j))
-            if self.distance((i, j)) <= 0.0:
+            d = self.distance((i, j))
+            if d <= 0.0:
                 raise ConfigError(
                     f"network.links[{li}]: nodes {i} and {j} have coincident positions"
+                )
+            # The channel divides by d ** 2, so it must be a positive finite float.
+            try:
+                d2 = d ** 2
+            except OverflowError:
+                d2 = math.inf
+            if not 0.0 < d2 < math.inf:
+                raise ConfigError(
+                    f"network.links[{li}]: nodes {i} and {j} are {d!r} apart; the squared"
+                    f" length {'underflows to 0' if d2 == 0.0 else 'overflows'}"
                 )
         for si, members in enumerate(self.interference_sets):
             if not members:

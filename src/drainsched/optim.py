@@ -45,7 +45,8 @@ class WeightVector:
         # min and max propagate NaN, so this holds exactly when every entry of
         # w and mu is finite and >= 0.
         both = np.concatenate((self.w, self.mu))
-        if not 0.0 <= both.min(initial=0.0) <= both.max(initial=0.0) < math.inf:
+        lo, hi = np.minimum.reduce(both, initial=0.0), np.maximum.reduce(both, initial=0.0)
+        if not 0.0 <= lo <= hi < math.inf:
             for name in ("w", "mu"):
                 bad = [x for x in getattr(self, name).tolist() if not 0.0 <= x < math.inf]
                 if bad:
@@ -234,9 +235,10 @@ def solve_review_optimization(
     n = constraints.n_coords
     if weights.n_coords != n:
         raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
-    # c2 takes ndarray.max(): on rates of mixed-sign zeros the sign it returns
-    # depends on its vectorized reduction order, which no list loop matches.
-    c2 = weights.theta_hat * float(weights.mu.max()) if n else 0.0
+    # c2 takes np.maximum.reduce, the reduction ndarray.max() wraps: on rates of
+    # mixed-sign zeros the sign it returns depends on its vectorized reduction
+    # order, which no list loop matches.
+    c2 = weights.theta_hat * float(np.maximum.reduce(weights.mu)) if n else 0.0
     try:
         beta, c3 = theorem_gap_bound(params.step_size, n, c2)
     except OverflowError:  # c2**2 beyond the float range

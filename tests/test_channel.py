@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class TestDrawGains:
         net = parallel_links_net()
         with pytest.raises(ConfigError, match="scale constant"):
             draw_gains(net, period=0, seed=1, scale_constant=0.0)
+
+    @pytest.mark.parametrize("scale_constant", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale_constant):
+        net = parallel_links_net()
+        with pytest.raises(ConfigError, match="scale constant must be finite and > 0"):
+            draw_gains(net, period=0, seed=1, scale_constant=scale_constant)
 
     def test_mean_power_gain_matches_second_moment(self):
         # Rayleigh amplitude with scale sigma has E[amplitude^2] = 2 sigma^2.
@@ -168,6 +175,25 @@ class TestMatchesNumpyReference:
                 assert bits(draw_gains(net, period, seed, scale_constant)) == bits(
                     numpy_draw_gains(net, period, seed, scale_constant)
                 )
+
+    def test_draw_gains_at_extreme_scales(self):
+        # scale / d^2 ranges over subnormal, ~1e300 and inf amplitude scales.
+        lengths = (1e-160, 1e-150, 0.3, 1e5, 1e150)
+        positions = [p for r, d in enumerate(lengths) for p in ((0.0, r), (d, r))]
+        net = NetworkSpec(positions=tuple(positions),
+                          links=tuple((2 * r, 2 * r + 1) for r in range(len(lengths))), flows=())
+        scale_constants = (1e-10, 1.0, 1e300)
+        scales = [c / d2 for c in scale_constants for d2 in net.squared_lengths.tolist()]
+        assert any(0.0 < x < sys.float_info.min for x in scales)
+        assert any(1e299 < x < math.inf for x in scales)
+        assert math.inf in scales
+        for scale_constant in scale_constants:
+            for seed in (0, 2**32, 2**130):
+                for period in (0, 2**32 - 1, 2**32, 2**40):
+                    got = draw_gains(net, period, seed, scale_constant)
+                    with np.errstate(over="ignore"):
+                        want = numpy_draw_gains(net, period, seed, scale_constant)
+                    assert bits(got) == bits(want)
 
     def test_draw_gains_without_links(self):
         net = NetworkSpec(positions=((0.0, 0.0),), links=(), flows=())

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from drainsched.cli import main
@@ -92,18 +91,28 @@ class TestRunCommand:
         assert "config error: channel: link (0, 1): gain * power / noise" in capsys.readouterr().err
 
     def test_infinite_drawn_gain_is_config_error(self, tmp_path, capsys):
-        # Nodes 1e-200 apart: the squared length underflows to 0, so the
-        # Rayleigh gain of the link is infinite.
+        # Nodes 1e-160 apart: the squared length 1e-320 is subnormal, so the
+        # amplitude scale 1 / d^2 overflows and the Rayleigh gain is infinite.
         bad = tmp_path / "bad.yaml"
         bad.write_text(
-            SMALL_YAML.replace("[0.5, 0.0]", "[1.0e-200, 0.0]")
+            SMALL_YAML.replace("[0.5, 0.0]", "[1.0e-160, 0.0]")
             .replace("{gain_model: fixed, fixed_gain: 4.0}", "{gain_model: rayleigh}")
         )
-        with np.errstate(divide="ignore"):
-            status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+        status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
         assert "config error: channel: link (0, 1): power gain inf gives an infinite rate" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("far", ["1.0e-200", "1.0e+200"])
+    def test_squared_length_out_of_float_range_is_config_error(self, tmp_path, capsys, far):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            SMALL_YAML.replace("[0.5, 0.0]", f"[{far}, 0.0]")
+            .replace("{gain_model: fixed, fixed_gain: 4.0}", "{gain_model: rayleigh}")
+        )
+        status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
+        assert status == 1
+        assert "config error: network.links[0]: nodes 0 and 1 are" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code_2(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),

@@ -71,6 +71,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="coincident"):
             NetworkSpec(positions=((0.0, 0.0), (0.0, 0.0)), links=((0, 1),), flows=())
 
+    @pytest.mark.parametrize("positions, what", [
+        (((0.0, 0.0), (1e-200, 0.0)), "1e-200 apart; the squared length underflows to 0"),
+        (((0.0, 0.0), (1e200, 0.0)), "1e\\+200 apart; the squared length overflows"),
+        (((-1e308, 0.0), (1e308, 0.0)), "inf apart; the squared length overflows"),
+    ], ids=["underflow", "overflow", "infinite"])
+    def test_squared_length_out_of_float_range_rejected(self, positions, what):
+        with pytest.raises(ConfigError, match=rf"^network\.links\[0\]: nodes 0 and 1 are {what}"):
+            NetworkSpec(positions=positions, links=((0, 1),), flows=())
+
     def test_cyclic_route_union_rejected(self):
         flows = [
             Flow(source=0, destination=3, routes=((0, 1, 2, 3),), arrival_rate=1.0),

@@ -710,7 +710,27 @@ class TestCycleKernel:
         )
 
 
+def signed_zero_patterns(n):
+    """mu vectors of n zeros with their signs in several orders."""
+    rng = np.random.default_rng(n)
+    signs = [[1.0] * n, [-1.0] * n, [(-1.0) ** k for k in range(n)],
+             [(-1.0) ** (k + 1) for k in range(n)], [-1.0] + [1.0] * (n - 1),
+             [1.0] * (n - 1) + [-1.0]]
+    signs += [rng.choice([-1.0, 1.0], n).tolist() for _ in range(4)]
+    return [np.copysign(np.zeros(n), sign) for sign in signs]
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("n", [1, 2, 15, 40])
+    def test_c2_keeps_the_sign_of_zero_max(self, n):
+        # c2's sign of zero is whatever ndarray.max() returns on the rates.
+        cons = wide_constraints(n)
+        for mu in signed_zero_patterns(n):
+            wv = WeightVector(w=np.ones(n), mu=mu, theta_hat=2.0)
+            _, diag = solve_review_optimization(wv, cons, OptParams())
+            want = 2.0 * float(mu.max())
+            assert np.float64(diag.c2).tobytes() == np.float64(want).tobytes()
+
     def test_gap_bound_zero_step(self):
         _, c3 = theorem_gap_bound(0.0, 5, 10.0)
         assert c3 == 0.0
