@@ -24,7 +24,6 @@ from .engine import (
     FlowMetrics,
     MetricsReport,
     Simulation,
-    flow_statistics,
     run_simulation,
 )
 from .experiments import (

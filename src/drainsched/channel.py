@@ -46,8 +46,8 @@ def draw_gains(
 
 def fixed_gains(spec: NetworkSpec, gain: float) -> dict[Link, float]:
     """Constant-gain channel, for controlled experiments."""
-    if gain < 0:
-        raise ConfigError(f"fixed gain must be >= 0, got {gain}")
+    if not 0 <= gain < math.inf:
+        raise ConfigError(f"fixed gain must be finite and >= 0, got {gain}")
     return {link: float(gain) for link in spec.links}
 
 

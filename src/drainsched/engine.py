@@ -39,11 +39,9 @@ from . import channel as chan
 from .config import RunParams, SimConfig
 from .control import build_slot_schedule, next_review_time, update_qos_weights
 from .network import ConfigError, build_constraints, build_link_flow_index
-from .optim import WeightVector, objective, solve_review_optimization
-from .oracle import oracle_solve
+from .optim import WeightVector, solve_review_optimization
 
 ARRIVAL_STREAM = 1  # seed-sequence domain tag, disjoint from the channel tag
-ORACLE_DIAG_MAX_COORDS = 8  # per-review oracle gaps only for small coordinate spaces
 
 
 @dataclass
@@ -76,7 +74,7 @@ class PeriodRecord:
     handoff_messages: int
     excess_broadcasts: int
     theta: dict[int, float]
-    oracle_gap: float | None = None
+    oracle_gap: float | None = None  # exact LP gap; no engine path fills it yet
 
 
 @dataclass
@@ -143,14 +141,6 @@ def _push(born: deque[int], count: deque[int], runs: Iterable[tuple[int, int]]) 
             count.append(n)
 
 
-def flow_statistics(report: MetricsReport, flow_id: int) -> tuple[float | None, float | None]:
-    """(mean delay, drop ratio) of one flow; None marks zero deliveries."""
-    if flow_id not in report.flows:
-        raise KeyError(f"unknown flow {flow_id}")
-    fm = report.flows[flow_id]
-    return fm.mean_delay, fm.drop_ratio
-
-
 class Simulation:
     """One simulation run; construct per (config, seed, horizon) and run once."""
 
@@ -160,8 +150,6 @@ class Simulation:
         seed: int,
         horizon: int | None = None,
         check_invariants: bool = False,
-        collect_periods: bool = True,
-        oracle_diagnostics: bool = False,
         trace_file=None,
     ):
         self.config = config
@@ -170,8 +158,6 @@ class Simulation:
         self.seed = int(seed)
         self.horizon = int(horizon)
         self._check = check_invariants
-        self._collect = collect_periods
-        self._oracle_diag = oracle_diagnostics
         self._trace_file = trace_file
 
         net = config.network
@@ -289,25 +275,19 @@ class Simulation:
             self.interference_violations += schedule.count_violations(self.constraints)
         self._slots = schedule.active_by_offset
 
-        if self._collect:
-            gap = None
-            if self._oracle_diag and self.idx.n_coords <= ORACLE_DIAG_MAX_COORDS:
-                _, lp_best = oracle_solve(wv, self.constraints)
-                gap = lp_best - objective(s, wv)
-            self.periods.append(
-                PeriodRecord(
-                    start=t,
-                    window=schedule.window,
-                    objective=diag.final_objective,
-                    objective_trace=diag.objective_trace,
-                    c2=diag.c2,
-                    c3=diag.c3,
-                    handoff_messages=diag.handoff_messages,
-                    excess_broadcasts=diag.excess_broadcasts,
-                    theta=theta,
-                    oracle_gap=gap,
-                )
+        self.periods.append(
+            PeriodRecord(
+                start=t,
+                window=schedule.window,
+                objective=diag.final_objective,
+                objective_trace=diag.objective_trace,
+                c2=diag.c2,
+                c3=diag.c3,
+                handoff_messages=diag.handoff_messages,
+                excess_broadcasts=diag.excess_broadcasts,
+                theta=theta,
             )
+        )
         if self._trace_file is not None:
             self._trace_file.write(
                 json.dumps(
@@ -502,15 +482,13 @@ def run_simulation(
     horizon: int | None = None,
     seed: int | None = None,
     check_invariants: bool = False,
-    collect_periods: bool = True,
-    oracle_diagnostics: bool = False,
     trace_file=None,
 ) -> MetricsReport:
     """Run one seeded simulation; a pure function of (config, seed, horizon).
 
-    oracle_diagnostics adds an exact LP gap to each period record; it is only
-    computed for coordinate spaces of at most ORACLE_DIAG_MAX_COORDS since
-    the reference solver enumerates vertices.
+    The report keeps one PeriodRecord per review. check_invariants counts
+    conservation and interference violations every slot; trace_file, if
+    given, receives one JSON line per review.
     """
     if seed is None:
         seed = config.run.seeds[0]
@@ -519,8 +497,6 @@ def run_simulation(
         seed=seed,
         horizon=horizon,
         check_invariants=check_invariants,
-        collect_periods=collect_periods,
-        oracle_diagnostics=oracle_diagnostics,
         trace_file=trace_file,
     )
     return sim.run()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .config import SimConfig, parse_config, with_optimizer, with_qos
+from .config import RunParams, SimConfig, parse_config, with_optimizer, with_qos
 from .control import QosSpec
 from .engine import MetricsReport, run_simulation
 from .network import ConfigError
@@ -117,7 +117,7 @@ def build_grid(preset: str, base: SimConfig | None = None) -> tuple[GridPoint, .
 
 def _run_point(args) -> dict:
     label, config, seed, horizon = args
-    report = run_simulation(config, horizon=horizon, seed=seed, collect_periods=True)
+    report = run_simulation(config, horizon=horizon, seed=seed)
     flows = {}
     for fid, fm in sorted(report.flows.items()):
         flows[fid] = {
@@ -166,12 +166,13 @@ def run_experiment(
     Writes <preset>_runs.csv (one row per grid point, seed, and flow),
     <preset>_summary.csv (seed-averaged), and <preset>_summary.json.
     Returns the process exit status (0 on completion). Raises ConfigError
-    when workers is below 1.
+    when workers is below 1 or seeds breaks RunParams' rule (an empty list,
+    or a seed that is not a nonnegative integer).
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = build_grid(preset, config)
-    seeds = tuple(int(s) for s in (seeds if seeds is not None else DEFAULT_SEEDS))
+    seeds = RunParams(seeds=tuple(seeds if seeds is not None else DEFAULT_SEEDS)).seeds
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -267,19 +267,9 @@ class LinkFlowIndex:
     def n_coords(self) -> int:
         return len(self.entries)
 
-    @cached_property
-    def index_of(self) -> dict[tuple[int, int, int], int]:
-        return {e: k for k, e in enumerate(self.entries)}
-
-    def coordinate(self, i: int, j: int, flow_id: int) -> int:
-        return self.index_of[(i, j, flow_id)]
-
     def link(self, k: int) -> Link:
         i, j, _ = self.entries[k]
         return (i, j)
-
-    def flow(self, k: int) -> int:
-        return self.entries[k][2]
 
 
 def build_link_flow_index(spec: NetworkSpec) -> LinkFlowIndex:

@@ -59,21 +59,23 @@ def oracle_battery():
 def checked_preset_run(preset_cfg):
     """Criteria 3 and 4 share one fully checked 1e5-slot mesh run."""
     return run_simulation(
-        preset_cfg, horizon=100_000, seed=1, check_invariants=True,
-        collect_periods=False,
+        preset_cfg, horizon=100_000, seed=1, check_invariants=True
     )
 
 
 @pytest.fixture(scope="module")
 def iteration_pair(preset_cfg):
-    """Criterion 5 data: 1 vs 5 optimizer cycles, no QoS, five seeds each."""
+    """Criterion 5 data: 1 vs 5 optimizer cycles, no QoS, five seeds each.
+
+    Only each run's flows are kept; its ~14k period records are dropped.
+    """
     t0 = time.monotonic()
     runs = {}
     base = with_qos(preset_cfg, {})
     for cycles in (1, 5):
         cfg = with_optimizer(base, cycles=cycles)
         runs[cycles] = [
-            run_simulation(cfg, seed=seed, collect_periods=False) for seed in SEEDS
+            run_simulation(cfg, seed=seed).flows for seed in SEEDS
         ]
     return runs, time.monotonic() - t0
 
@@ -157,7 +159,7 @@ def test_criterion_5_iteration_trend(iteration_pair):
     runs, elapsed = iteration_pair
     means = {
         cycles: {
-            f: sum(r.flows[f].mean_delay for r in reps) / len(reps)
+            f: sum(flows[f].mean_delay for flows in reps) / len(reps)
             for f in (7, 8, 9)
         }
         for cycles, reps in runs.items()
@@ -184,7 +186,7 @@ def test_criterion_6_mean_delay_targets(preset_cfg):
     cfg = with_qos(preset_cfg, qos)
     delays = {7: [], 8: [], 9: []}
     for seed in SEEDS:
-        rep = run_simulation(cfg, horizon=100_000, seed=seed, collect_periods=False)
+        rep = run_simulation(cfg, horizon=100_000, seed=seed)
         for f in delays:
             delays[f].append(rep.flows[f].mean_delay)
     means = {f: sum(v) / len(v) for f, v in delays.items()}
@@ -212,7 +214,7 @@ def test_criterion_7_deadline_mix(preset_cfg):
     cfg = with_qos(preset_cfg, qos)
     drops, delays8 = [], []
     for seed in SEEDS:
-        rep = run_simulation(cfg, horizon=100_000, seed=seed, collect_periods=False)
+        rep = run_simulation(cfg, horizon=100_000, seed=seed)
         drops.append(rep.flows[7].drop_ratio)
         delays8.append(rep.flows[8].mean_delay)
     mean_drop = sum(drops) / len(drops)

@@ -100,6 +100,11 @@ class TestDrawGains:
         net = parallel_links_net(2)
         assert set(fixed_gains(net, 4.5).values()) == {4.5}
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf, -1.0])
+    def test_fixed_gains_rejects_negative_and_non_finite(self, gain):
+        with pytest.raises(ConfigError, match="fixed gain must be finite and >= 0"):
+            fixed_gains(parallel_links_net(2), gain)
+
 
 class TestRateTable:
     def test_rates_follow_gains(self):

@@ -5,10 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drainsched import engine
 from drainsched.config import parse_config, with_optimizer, with_run
-from drainsched.engine import MetricsReport, Simulation, flow_statistics, run_simulation
+from drainsched.engine import MetricsReport, Simulation, run_simulation
 from drainsched.experiments import bundled_preset_config, export_metrics
 from drainsched.network import ConfigError
+from drainsched.optim import objective
+from drainsched.oracle import oracle_solve
 from test_export_digest import longwin_config
 
 SINGLE_LINK_YAML = """
@@ -256,8 +259,7 @@ class TestBucketQueues:
         cfg = bundled_preset_config()
         flows = tuple(replace(fl, arrival_rate=3 * fl.arrival_rate) for fl in cfg.network.flows)
         cfg = replace(cfg, network=replace(cfg.network, flows=flows))
-        sim = Simulation(cfg, seed=1, horizon=3000, check_invariants=True,
-                         collect_periods=False)
+        sim = Simulation(cfg, seed=1, horizon=3000, check_invariants=True)
         rep = sim.run()
         assert rep.conservation_violations == 0
         assert rep.interference_violations == 0
@@ -289,7 +291,7 @@ class TestRunSimulation:
     def test_single_queue_mean_delay_matches_independent_oracle(self):
         lam = 0.85
         cfg = single_link_config(rate=lam, gain=2.0, stock=0, horizon=200_000)
-        rep = run_simulation(cfg, seed=3, collect_periods=False)
+        rep = run_simulation(cfg, seed=3)
         oracle = single_queue_oracle(lam, 1_000_000, seed=424242)
         got = rep.flows[1].mean_delay
         assert got is not None
@@ -303,14 +305,13 @@ class TestRunSimulation:
 
     def test_seed_changes_outcome(self):
         cfg = with_run(bundled_preset_config(), horizon_slots=3000)
-        a = run_simulation(cfg, seed=5, collect_periods=False)
-        b = run_simulation(cfg, seed=6, collect_periods=False)
+        a = run_simulation(cfg, seed=5)
+        b = run_simulation(cfg, seed=6)
         assert a != b
 
     def test_conservation_and_interference_on_short_preset_run(self):
         cfg = bundled_preset_config()
-        rep = run_simulation(cfg, horizon=5000, seed=2, check_invariants=True,
-                             collect_periods=False)
+        rep = run_simulation(cfg, horizon=5000, seed=2, check_invariants=True)
         assert rep.conservation_violations == 0
         assert rep.interference_violations == 0
         # packet identity: created = still queued + delivered (on time or late)
@@ -333,18 +334,23 @@ class TestRunSimulation:
                     floor_seen[qi] = (before[qi], after)
         assert floor_seen == {}
 
-    def test_oracle_gap_diagnostic_on_small_net(self):
-        cfg = single_link_config(rate=0.85, gain=2.0, stock=0, horizon=300)
-        rep = run_simulation(cfg, seed=3, oracle_diagnostics=True)
-        gaps = [p.oracle_gap for p in rep.periods]
-        assert gaps and all(g is not None for g in gaps)
-        # the iterate never beats the exact LP optimum
-        assert all(g >= -1e-9 for g in gaps)
+    def test_reviews_never_beat_the_exact_lp_on_small_net(self, monkeypatch):
+        # Record the solver's inputs at every review of the engine, then check
+        # each schedule against the exact LP optimum of the same inputs.
+        seen = []
+        solve = engine.solve_review_optimization
 
-    def test_oracle_gap_skipped_on_large_nets(self):
-        cfg = with_run(bundled_preset_config(), horizon_slots=200)
-        rep = run_simulation(cfg, seed=1, oracle_diagnostics=True)
-        assert all(p.oracle_gap is None for p in rep.periods)  # 15 coordinates
+        def recording(weights, constraints, params):
+            s, diag = solve(weights, constraints, params)
+            seen.append((s, weights, constraints))
+            return s, diag
+
+        monkeypatch.setattr(engine, "solve_review_optimization", recording)
+        cfg = single_link_config(rate=0.85, gain=2.0, stock=0, horizon=300)
+        rep = run_simulation(cfg, seed=3)
+        assert seen and len(seen) == len(rep.periods)
+        for s, wv, cons in seen:
+            assert objective(s, wv) <= oracle_solve(wv, cons)[1] + 1e-9
 
     def test_mesh_delay_at_ten_cycles_in_expected_band(self):
         # At 10 optimizer cycles the mesh settles near 13 slots mean delay for
@@ -352,7 +358,7 @@ class TestRunSimulation:
         cfg = with_optimizer(bundled_preset_config(), cycles=10)
         delays = []
         for seed in (1, 2, 3):
-            rep = run_simulation(cfg, seed=seed, collect_periods=False)
+            rep = run_simulation(cfg, seed=seed)
             delays.append(rep.flows[8].mean_delay)
         mean = sum(delays) / len(delays)
         assert 13.0 * 0.25 <= mean <= 13.0 * 1.75
@@ -368,27 +374,27 @@ class TestFlowStatistics:
         sim.inject(0, 1, [20, 11, 2])
         for _ in range(3):
             sim.step()
-        mean, drop = flow_statistics(sim.report(), 1)
-        assert mean == pytest.approx((10 + 20 + 30) / 3)
-        assert drop == 0.0
+        fm = sim.report().flows[1]
+        assert fm.mean_delay == pytest.approx((10 + 20 + 30) / 3)
+        assert fm.drop_ratio == 0.0
 
     def test_two_late_of_hundred(self):
         sim = Simulation(single_link_config(horizon=0), seed=1)
         fm = sim._flows[1]
         fm.delivered, fm.late, fm.delay_sum = 100, 2, 1000
-        mean, drop = flow_statistics(sim.report(), 1)
-        assert mean == pytest.approx(10.0)
-        assert drop == pytest.approx(0.02)
+        got = sim.report().flows[1]
+        assert got.mean_delay == pytest.approx(10.0)
+        assert got.drop_ratio == pytest.approx(0.02)
 
     def test_zero_deliveries_absent_marker(self):
         rep = run_simulation(single_link_config(rate=0.0, horizon=10))
-        mean, drop = flow_statistics(rep, 1)
-        assert mean is None and drop is None
+        fm = rep.flows[1]
+        assert fm.mean_delay is None and fm.drop_ratio is None
 
     def test_unknown_flow_rejected(self):
         rep = run_simulation(single_link_config(horizon=0))
         with pytest.raises(KeyError):
-            flow_statistics(rep, 99)
+            rep.flows[99]
 
 
 class TestReportSnapshot:
@@ -437,10 +443,9 @@ class TestWindowLoop:
     @pytest.mark.parametrize("build, kwargs", [
         (bundled_preset_config, {}),
         (bundled_preset_config, {"check_invariants": True}),
-        (bundled_preset_config, {"collect_periods": False}),
         (longwin_config, {}),
         (longwin_config, {"check_invariants": True}),
-    ], ids=["mesh10", "mesh10-checked", "mesh10-no-periods", "longwin", "longwin-checked"])
+    ], ids=["mesh10", "mesh10-checked", "longwin", "longwin-checked"])
     def test_run_matches_step_loop(self, tmp_path, build, kwargs):
         sims = [Simulation(build(), seed=1, horizon=3000, **kwargs) for _ in range(2)]
         by_run = sims[0].run()

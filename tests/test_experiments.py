@@ -91,6 +91,13 @@ class TestRunExperiment:
                        workers=2)
         assert (out1 / "custom_runs.csv").read_bytes() == (out2 / "custom_runs.csv").read_bytes()
 
+    @pytest.mark.parametrize("seeds", [[2.5], [True], [], [-1]])
+    def test_seeds_checked_with_run_params_rule(self, tmp_path, seeds):
+        cfg = parse_config(SMALL_YAML)
+        with pytest.raises(ConfigError, match="run.seeds"):
+            run_experiment("custom", tmp_path, seeds=seeds, horizon=50, config=cfg)
+        assert not any(tmp_path.iterdir())
+
     def test_fig3b_sweep_rows_match_axis(self, tmp_path):
         status = run_experiment("fig3b-sweep", tmp_path, seeds=(1,), horizon=300)
         assert status == 0
@@ -123,7 +130,7 @@ class TestExportMetrics:
 
     def test_rows_keyed_by_ascending_flow_id(self, tmp_path):
         cfg = with_run(bundled_preset_config(), horizon_slots=500)
-        rep = run_simulation(cfg, seed=1, collect_periods=False)
+        rep = run_simulation(cfg, seed=1)
         dest = tmp_path / "m.csv"
         export_metrics(rep, "csv", dest)
         lines = dest.read_text().strip().splitlines()

