@@ -264,7 +264,7 @@ class Simulation:
         theta = update_qos_weights(self._qspecs, self._flows)
         qlen = self._qlen
         w = [theta[f] * qlen[qi] for f, qi in zip(self._f_of, self._qidx_of)]
-        wv = WeightVector(w=np.array(w, dtype=float), mu=np.array(mu), theta_hat=self._theta_hat_max)
+        wv = WeightVector(w=w, mu=mu, theta_hat=self._theta_hat_max)
         s, diag = solve_review_optimization(wv, self.constraints, cfg.optimizer)
 
         total_backlog = sum(qlen)

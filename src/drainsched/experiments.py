@@ -128,11 +128,22 @@ def _run_point(args) -> dict:
             "mean_delay": fm.mean_delay,
             "drop_ratio": fm.drop_ratio,
         }
-    n_periods = len(report.periods)
-    mean_c3 = (
-        sum(p.c3 for p in report.periods) / n_periods if n_periods else None
-    )
+    mean_c3 = _mean([p.c3 for p in report.periods])
     return {"label": label, "seed": seed, "flows": flows, "mean_gap_bound_c3": mean_c3}
+
+
+def _mean(values: list[float]) -> float | None:
+    """The mean of values summed left to right from 0.0, or None if empty.
+
+    Builtin sum() is avoided: Python 3.12 made it compensated, which would
+    make the exported bytes depend on the interpreter.
+    """
+    if not values:
+        return None
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def _fmt(value) -> str:
@@ -222,8 +233,8 @@ def run_experiment(
             summary_rows.append(
                 (
                     preset, point.label, fid, len(group),
-                    sum(delays) / len(delays) if delays else None,
-                    sum(drops) / len(drops) if drops else None,
+                    _mean(delays),
+                    _mean(drops),
                     min(delays) if delays else None,
                     max(delays) if delays else None,
                 )

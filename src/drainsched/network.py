@@ -346,7 +346,9 @@ class ConstraintSet:
     The remaining derived views are the static data of the review path,
     computed on first use and kept for the life of the set: the member
     tuple of each halfspace and, per divisor mode, the endpoint plan of
-    every coordinate and the solver kernel generated from it.
+    every coordinate. The solver's kernel is compiled from a plan and cached
+    by optim.cycle_kernel, keyed by the plan, not kept on the set; a set
+    holds only plain data and pickles as such.
     """
 
     halfspaces: tuple[Halfspace, ...]
@@ -397,20 +399,6 @@ class ConstraintSet:
             )
             for mode, d in divisors.items()
         }
-
-    @cached_property
-    def solver_kernels(self) -> dict:
-        """Per divisor mode, the solver's generated cycle loop.
-
-        Filled by optim.cycle_kernel from the endpoint plan of that mode,
-        and kept, like the plans, for the life of the set. None marks a mode
-        solve_review_optimization has solved once, with no kernel yet.
-        """
-        return {}
-
-    def __getstate__(self):
-        # Generated functions do not pickle; a copy regenerates its kernels.
-        return {k: v for k, v in self.__dict__.items() if k != "solver_kernels"}
 
 
 def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:

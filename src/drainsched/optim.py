@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -229,8 +229,8 @@ def solve_review_optimization(
     step, then the endpoint-halfspace repair. After the last cycle the
     iterate is clamped and rescaled into the polytope. The handoff count is
     one message per coordinate step; each applied projection broadcasts one
-    correction value to the other member coordinates. The cycles run in
-    list_loop_cycles on a set's first solve and in its cycle_kernel after.
+    correction value to the other member coordinates. Every solve runs the
+    cycles in the compiled kernel of the set's endpoint plan (cycle_kernel).
     """
     n = constraints.n_coords
     if weights.n_coords != n:
@@ -263,17 +263,7 @@ def solve_review_optimization(
             excess_broadcasts=0,
         )
 
-    # A set's first solve in a mode runs the list loop. The generated kernel
-    # costs ~5 ms to compile on mesh10, which only repeated solves of one set
-    # (a simulation's reviews) earn back, so it is compiled at the second;
-    # sets solved once (instance batteries, oracle-check) never compile.
-    # solver_kernels[mode] is None in between.
-    mode = params.divisor_mode
-    if mode in constraints.solver_kernels:
-        run = cycle_kernel(constraints, mode)
-    else:
-        constraints.solver_kernels[mode] = None
-        run = partial(list_loop_cycles, constraints.endpoint_plans[mode])
+    run = cycle_kernel(constraints, params.divisor_mode)
     step = params.step_size
     s, broadcasts, trace = run(
         s, [step * v for v in wmu_l], wmu_l, params.cycles, params.projection_repeats
@@ -298,73 +288,16 @@ def solve_review_optimization(
 # -- the cycle loop -----------------------------------------------------------
 
 
-def list_loop_cycles(plan, s, incs, wmu, cycles, projection_repeats):
-    """The solver's cycles as a loop over the endpoint plan.
-
-    Takes the arguments of a cycle_kernel kernel after the plan and returns
-    the same (s, broadcasts, trace); s is updated in place.
-    """
-    steps = [(k, inc) + p for k, (inc, p) in enumerate(zip(incs, plan))]
-    broadcasts = 0
-    trace = []
-
-    for _ in range(cycles):
-        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
-            s[k] += inc
-            total1 = 0.0
-            for q in m1:
-                total1 += s[q]
-            total2 = 0.0
-            for q in m2:
-                total2 += s[q]
-            if total1 > 1.0:
-                if total2 > 1.0:
-                    # Both violated: alternate. Each pass projects onto
-                    # whichever of the two is still violated, re-summing
-                    # after every projection.
-                    for _rep in range(projection_repeats):
-                        changed = False
-                        if total1 > 1.0:
-                            d = (total1 - 1.0) * d1
-                            for q in m1:
-                                s[q] -= d
-                            broadcasts += b1
-                            changed = True
-                        total2 = 0.0
-                        for q in m2:
-                            total2 += s[q]
-                        if total2 > 1.0:
-                            d = (total2 - 1.0) * d2
-                            for q in m2:
-                                s[q] -= d
-                            broadcasts += b2
-                            changed = True
-                        if not changed:
-                            break
-                        total1 = 0.0
-                        for q in m1:
-                            total1 += s[q]
-                else:
-                    d = (total1 - 1.0) * d1
-                    for q in m1:
-                        s[q] -= d
-                    broadcasts += b1
-            elif total2 > 1.0:
-                d = (total2 - 1.0) * d2
-                for q in m2:
-                    s[q] -= d
-                broadcasts += b2
-        obj = 0.0
-        for v, x in zip(wmu, s):
-            obj += v * x
-        trace.append(obj)
-    return s, broadcasts, trace
-
-
-# The generated kernel is the same loop as straight-line code: one local per
-# coordinate, every sum unrolled in member order from 0.0, and the plan's
-# reciprocal divisors baked in as exact float literals. Every float operation
-# and its order are those of list_loop_cycles, so the iterates round the same.
+# The solver's cycles run as generated straight-line code. In each cycle every
+# coordinate k, in index order, steps s[k] += incs[k]; then the member sums of
+# its tail and head halfspaces are taken left to right from 0.0, and an
+# oversubscribed one is projected by subtracting (total - 1) * divisor from
+# each member; when both are, the two projections alternate up to
+# projection_repeats times. Each cycle ends by appending sum(wmu[k] * s[k]) to
+# the trace. The code has one local per coordinate, every sum unrolled in
+# member order, and the plan's reciprocal divisors baked in as exact float
+# literals. tests/test_optim.py keeps the same cycles as a plain loop over the
+# plan and checks the kernel against it bit for bit.
 
 
 def _sum(total, terms, pad) -> list[str]:
@@ -448,22 +381,37 @@ def _kernel_source(plan) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Kernels are keyed by endpoint plan, not by ConstraintSet: the source is a
+# pure function of the plan, and plans repeat across sets (1000 random
+# instances have ~120-146 distinct ones), so equal plans share one kernel.
+KERNEL_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _compiled(plan):
+    source = _kernel_source(plan)
+    namespace: dict = {}
+    exec(compile(source, "<cycle kernel>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    kernel.source = source
+    return kernel
+
+
 def cycle_kernel(constraints: ConstraintSet, divisor_mode: str = "coordinates"):
     """The compiled cycle loop of solve_review_optimization for one set and mode.
 
     kernel(s, incs, wmu, cycles, projection_repeats) -> (s, broadcasts, trace)
     runs the cycles from the list s, with incs[k] = step_size * wmu[k], and
     returns the final iterate as a list, the broadcast count and the
-    per-cycle objectives. It is generated on first use and cached in
-    constraints.solver_kernels; its source text is kernel.source.
-    solve_review_optimization uses it from a set's second solve on.
+    per-cycle objectives. Its source text is kernel.source. It is compiled
+    once per distinct endpoint plan per process and kept in a bounded LRU
+    cache (KERNEL_CACHE_SIZE plans), so sets with equal plans share one
+    kernel. Raises ValueError for a divisor mode not in DIVISOR_MODES.
     """
-    kernels = constraints.solver_kernels
-    kernel = kernels.get(divisor_mode)
-    if kernel is None:
-        source = _kernel_source(constraints.endpoint_plans[divisor_mode])
-        namespace: dict = {}
-        exec(compile(source, f"<cycle kernel: {divisor_mode}>", "exec"), namespace)
-        kernel = kernels[divisor_mode] = namespace["kernel"]
-        kernel.source = source
-    return kernel
+    try:
+        plan = constraints.endpoint_plans[divisor_mode]
+    except KeyError:
+        raise ValueError(
+            f"divisor_mode must be one of {DIVISOR_MODES}, got {divisor_mode!r}"
+        ) from None
+    return _compiled(plan)

@@ -2,7 +2,8 @@
 
 The mesh10 and longwin digests are those recorded in perfbench/golden.json;
 the links-divisor and fixed-gain runs cover optimizer and channel paths the
-benchmark never takes. A refactor that keeps every answer must keep all of
+benchmark never takes. The run_experiment pins cover the preset output
+files: table2's QoS grid and fig3b-sweep's ten cycle counts. A refactor that keeps every answer must keep all of
 them; a change that alters an answer must say so and update every place that
 records the digest.
 """
@@ -20,6 +21,7 @@ from drainsched.experiments import (
     TABLE2_THETA,
     bundled_preset_config,
     export_metrics,
+    run_experiment,
 )
 
 
@@ -61,3 +63,27 @@ def test_json_export_digest(tmp_path, build, horizon, sha256):
     path = tmp_path / "metrics.json"
     export_metrics(run_simulation(build(), horizon=horizon, seed=1), "json", path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+EXPERIMENT_SHA256 = {
+    "table2": {
+        "_runs.csv": "4b698f056cdf361e44d114a889d4e326f733cc19ea8fe769aaa5412b78fdb313",
+        "_summary.csv": "3c3d8a39a02fff93b269dfc63fbd9816eb436646128f0c058466a8be9c64fda2",
+        "_summary.json": "3a3e6a0e29ec630576388303af65bf033d0825c88e3ac7fcb116cab117153625",
+    },
+    "fig3b-sweep": {
+        "_runs.csv": "5db68ef3ce727dbd46f1f1a42e75ecb2c1e95d83bccb861040c56c88347f5613",
+        "_summary.csv": "87405bdb28294b24473ec90b28a90181e50596c888af5d0154960f4043bea6d9",
+        "_summary.json": "61b392fb396da1bd496098cb10d63786442f48d53ac84e4a9d3670097c4c6f20",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(EXPERIMENT_SHA256))
+def test_run_experiment_digest(tmp_path, preset):
+    assert run_experiment(preset, tmp_path, seeds=[1, 2], horizon=1500, workers=1) == 0
+    got = {
+        suffix: hashlib.sha256((tmp_path / f"{preset}{suffix}").read_bytes()).hexdigest()
+        for suffix in EXPERIMENT_SHA256[preset]
+    }
+    assert got == EXPERIMENT_SHA256[preset]

@@ -16,7 +16,6 @@ from drainsched.optim import (
     alternating_project,
     cycle_kernel,
     finalize_feasible,
-    list_loop_cycles,
     objective,
     project_onto_halfspace,
     pseudo_draining_time,
@@ -571,6 +570,70 @@ KERNEL_VARIANTS = [
 ]
 
 
+def list_loop_cycles(plan, s, incs, wmu, cycles, projection_repeats):
+    """The solver's cycles as a plain loop over the endpoint plan: the
+    reference the generated kernel must match bit for bit.
+
+    Takes the arguments of a cycle_kernel kernel after the plan and returns
+    the same (s, broadcasts, trace); s is updated in place.
+    """
+    steps = [(k, inc) + p for k, (inc, p) in enumerate(zip(incs, plan))]
+    broadcasts = 0
+    trace = []
+
+    for _ in range(cycles):
+        for k, inc, m1, d1, b1, m2, d2, b2 in steps:
+            s[k] += inc
+            total1 = 0.0
+            for q in m1:
+                total1 += s[q]
+            total2 = 0.0
+            for q in m2:
+                total2 += s[q]
+            if total1 > 1.0:
+                if total2 > 1.0:
+                    # Both violated: alternate. Each pass projects onto
+                    # whichever of the two is still violated, re-summing
+                    # after every projection.
+                    for _rep in range(projection_repeats):
+                        changed = False
+                        if total1 > 1.0:
+                            d = (total1 - 1.0) * d1
+                            for q in m1:
+                                s[q] -= d
+                            broadcasts += b1
+                            changed = True
+                        total2 = 0.0
+                        for q in m2:
+                            total2 += s[q]
+                        if total2 > 1.0:
+                            d = (total2 - 1.0) * d2
+                            for q in m2:
+                                s[q] -= d
+                            broadcasts += b2
+                            changed = True
+                        if not changed:
+                            break
+                        total1 = 0.0
+                        for q in m1:
+                            total1 += s[q]
+                else:
+                    d = (total1 - 1.0) * d1
+                    for q in m1:
+                        s[q] -= d
+                    broadcasts += b1
+            elif total2 > 1.0:
+                d = (total2 - 1.0) * d2
+                for q in m2:
+                    s[q] -= d
+                broadcasts += b2
+        obj = 0.0
+        for v, x in zip(wmu, s):
+            obj += v * x
+        trace.append(obj)
+    return s, broadcasts, trace
+
+
 def assert_same_cycles(weights, constraints, params):
     """The kernel and list_loop_cycles, from the arguments the solver passes,
     give the same bits."""
@@ -588,9 +651,11 @@ def assert_same_cycles(weights, constraints, params):
 
 
 def counting_generations(monkeypatch):
-    """Record the plan of every kernel generated from now on."""
+    """Empty the kernel cache and record the plan of every kernel generated
+    from now on."""
     from drainsched import optim
 
+    optim._compiled.cache_clear()
     generated = []
     source = optim._kernel_source
 
@@ -651,43 +716,70 @@ class TestCycleKernel:
         for mode in DIVISOR_MODES:
             assert_same_cycles(wv, cons, OptParams(step_size=1e-3, cycles=2, divisor_mode=mode))
 
-    def test_first_solve_runs_the_list_loop(self, monkeypatch):
+    def test_sets_with_equal_plans_share_a_kernel(self):
+        spec, idx, cons = two_flow_chain()
+        other = build_constraints(idx, spec)
+        assert other is not cons and other.endpoint_plans == cons.endpoint_plans
+        for mode in DIVISOR_MODES:
+            assert cycle_kernel(other, mode) is cycle_kernel(cons, mode)
+
+    def test_one_kernel_per_divisor_mode(self, monkeypatch):
+        from drainsched.experiments import bundled_preset_config
+
         generated = counting_generations(monkeypatch)
-        _, _, cons = two_flow_chain()
+        spec = bundled_preset_config().network
+        cons = build_constraints(build_link_flow_index(spec), spec)
+        plans = cons.endpoint_plans
+        assert plans["coordinates"] != plans["links"]
+        kernels = {mode: cycle_kernel(cons, mode) for mode in DIVISOR_MODES * 2}
+        assert kernels["coordinates"] is not kernels["links"]
+        assert generated == [plans[mode] for mode in DIVISOR_MODES]
+
+    def test_first_solve_runs_the_kernel(self, monkeypatch):
+        from drainsched import optim
+
+        generated = counting_generations(monkeypatch)
+        ran = []
+        compiled = optim._compiled
+
+        def recording(plan):
+            kernel = compiled(plan)
+
+            def run(*args):
+                ran.append(plan)
+                return kernel(*args)
+
+            return run
+
+        monkeypatch.setattr(optim, "_compiled", recording)
+        spec, idx, cons = two_flow_chain()
+        plan = cons.endpoint_plans["coordinates"]
         wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
         first, first_diag = solve_review_optimization(wv, cons, OptParams())
-        assert generated == [] and cons.solver_kernels == {"coordinates": None}
-        second, second_diag = solve_review_optimization(wv, cons, OptParams())
-        assert generated == [cons.endpoint_plans["coordinates"]]
-        assert_same_bits(second, first)
-        assert second_diag == first_diag
+        assert generated == [plan] and ran == [plan]
+        for again in (cons, build_constraints(idx, spec), cons):
+            got, got_diag = solve_review_optimization(wv, again, OptParams())
+            assert_same_bits(got, first)
+            assert got_diag == first_diag
+        assert generated == [plan] and ran == [plan] * 4
 
-    def test_one_kernel_per_set_and_mode(self, monkeypatch):
-        generated = counting_generations(monkeypatch)
-        spec, idx, cons = two_flow_chain()
-        wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
-        for mode in DIVISOR_MODES * 3:
-            solve_review_optimization(wv, cons, OptParams(divisor_mode=mode))
-        assert generated == [cons.endpoint_plans[mode] for mode in DIVISOR_MODES]
-        assert set(cons.solver_kernels) == set(DIVISOR_MODES)
-        assert cycle_kernel(cons, "coordinates") is cons.solver_kernels["coordinates"]
-        other = build_constraints(idx, spec)
-        assert cycle_kernel(other) is not cycle_kernel(cons)
-
-    def test_set_with_kernels_still_pickles(self):
+    def test_pickled_set_solves_bit_identically(self):
         import pickle
 
         _, _, cons = two_flow_chain()
         wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
-        for _ in range(2):
-            want, want_diag = solve_review_optimization(wv, cons, OptParams())
-        assert callable(cons.solver_kernels["coordinates"])
-        copy = pickle.loads(pickle.dumps(cons))
-        assert copy == cons and "solver_kernels" not in vars(copy)
-        for _ in range(2):
-            got, got_diag = solve_review_optimization(wv, copy, OptParams())
+        for mode in DIVISOR_MODES:
+            want, want_diag = solve_review_optimization(wv, cons, OptParams(divisor_mode=mode))
+            copy = pickle.loads(pickle.dumps(cons))
+            assert copy == cons and copy.endpoint_plans == cons.endpoint_plans
+            got, got_diag = solve_review_optimization(wv, copy, OptParams(divisor_mode=mode))
             assert_same_bits(got, want)
             assert got_diag == want_diag
+
+    def test_unknown_divisor_mode_rejected(self):
+        _, _, cons = two_flow_chain()
+        with pytest.raises(ValueError, match="divisor_mode must be one of .*'coordinates'"):
+            cycle_kernel(cons, "bogus")
 
     def test_source_is_the_code_that_runs(self):
         _, _, cons = two_flow_chain()
