@@ -52,7 +52,6 @@ from .optim import (
     finalize_feasible,
     objective,
     project_onto_halfspace,
-    pseudo_draining_time,
     solve_review_optimization,
     theorem_gap_bound,
 )

@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from collections.abc import Collection
+from dataclasses import MISSING, Field, asdict, dataclass, fields, replace
+from functools import cache
 from typing import Any
 
 import yaml
@@ -117,7 +119,7 @@ def _mapping(value: Any, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
+def _check_keys(mapping: dict, allowed: Collection[str], path: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"{path}: unknown key {key!r} (allowed: {', '.join(allowed)})")
@@ -142,7 +144,7 @@ def _number(value: Any, path: str) -> float:
 
 
 def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
 
@@ -159,15 +161,31 @@ def _boolean(value: Any, path: str) -> bool:
     return value
 
 
-def _integers(value: Any, path: str) -> tuple[int, ...]:
-    return tuple(_integer(v, f"{path}[{i}]") for i, v in enumerate(_listing(value, path)))
-
-
 def _optional(check):
     return lambda value, path: None if value is None else check(value, path)
 
 
-# The value check of a params field, by the field's annotation.
+def _tuple_of(check):
+    """Check for a list whose items are each checked at path[index]."""
+    return lambda value, path: tuple(
+        check(v, f"{path}[{i}]") for i, v in enumerate(_listing(value, path))
+    )
+
+
+def _pair(check, first: str, second: str):
+    """Check for a two-item list, its items checked at path.first and path.second."""
+
+    def read(value, path):
+        pair = _listing(value, path)
+        if len(pair) != 2:
+            raise ConfigError(f"{path}: expected [{first}, {second}]")
+        return check(pair[0], f"{path}.{first}"), check(pair[1], f"{path}.{second}")
+
+    return read
+
+
+# The value check of a params field, by the field's annotation. A flow is read
+# into its field values, not built: _parse_network builds it with its QoS spec.
 _CHECKS = {
     "float": _number,
     "float | None": _optional(_number),
@@ -175,23 +193,41 @@ _CHECKS = {
     "int | None": _optional(_integer),
     "str": lambda value, path: str(value),
     "bool": _boolean,
-    "tuple[int, ...]": _integers,
+    "tuple[int, ...]": _tuple_of(_integer),
+    "tuple[tuple[int, ...], ...]": _tuple_of(_tuple_of(_integer)),
+    "tuple[tuple[float, float], ...]": _tuple_of(_pair(_number, "x", "y")),
+    "tuple[Link, ...]": _tuple_of(_pair(_integer, "i", "j")),
+    "tuple[Flow, ...]": _tuple_of(lambda value, path: _values(Flow, _mapping(value, path), path)),
 }
 
+# The config key of each field whose key is not its name.
+_RENAMED = {
+    "divisor_mode": "projection_divisor",
+    "arrival_rate": "rate_pkts_per_slot",
+    "positions": "nodes",
+    "interference_sets": "extra_interference_sets",
+}
 
-def _keys(cls) -> tuple[str, ...]:
-    """Config keys of cls's fields; divisor_mode is read from projection_divisor."""
-    return tuple("projection_divisor" if f.name == "divisor_mode" else f.name for f in fields(cls))
+# The one field that is not a config key: a flow's QoS comes from control.qos.
+_NOT_A_KEY = (Flow, "qos")
+
+
+@cache
+def _fields_by_key(cls) -> dict[str, Field]:
+    """cls's fields that config keys set, by key, in field order."""
+    return {
+        _RENAMED.get(f.name, f.name): f for f in fields(cls) if (cls, f.name) != _NOT_A_KEY
+    }
 
 
 def _values(cls, sec: dict, path: str, extra_keys: tuple[str, ...] = ()) -> dict:
     """The values of sec's keys as cls's field arguments, each checked by the
     rule of its field's annotation; a required field must be present."""
-    keys = _keys(cls)
-    _check_keys(sec, keys + extra_keys, path)
+    by_key = _fields_by_key(cls)
+    _check_keys(sec, (*by_key, *extra_keys), path)
     return {
         f.name: _CHECKS[f.type](_get(sec, key, path), f"{path}.{key}")
-        for key, f in zip(keys, fields(cls))
+        for key, f in by_key.items()
         if key in sec or f.default is MISSING
     }
 
@@ -215,73 +251,19 @@ def _params(cls, section: Any, path: str, extra_keys: tuple[str, ...] = (), **de
 
 
 def _parse_network(section: Any, qos_by_flow: dict[int, QosSpec]) -> NetworkSpec:
+    """Read the network section; each flow gets its destination's QoS spec."""
     sec = _mapping(section, "network")
     if not sec:
         raise ConfigError("network: section is required")
-    _check_keys(sec, ("nodes", "links", "flows", "extra_interference_sets"), "network")
-
-    nodes = []
-    for vi, item in enumerate(_listing(_get(sec, "nodes", "network"), "network.nodes")):
-        pair = _listing(item, f"network.nodes[{vi}]")
-        if len(pair) != 2:
-            raise ConfigError(f"network.nodes[{vi}]: expected [x, y]")
-        nodes.append((_number(pair[0], f"network.nodes[{vi}].x"),
-                      _number(pair[1], f"network.nodes[{vi}].y")))
-
-    links = []
-    for li, item in enumerate(_listing(_get(sec, "links", "network"), "network.links")):
-        pair = _listing(item, f"network.links[{li}]")
-        if len(pair) != 2:
-            raise ConfigError(f"network.links[{li}]: expected [i, j]")
-        links.append((_integer(pair[0], f"network.links[{li}].i"),
-                      _integer(pair[1], f"network.links[{li}].j")))
-
-    flows = []
-    seen_dest: set[int] = set()
-    for fi, item in enumerate(_listing(_get(sec, "flows", "network"), "network.flows")):
-        fsec = _mapping(item, f"network.flows[{fi}]")
-        _check_keys(
-            fsec, ("source", "destination", "rate_pkts_per_slot", "routes"),
-            f"network.flows[{fi}]",
-        )
-        src = _integer(_get(fsec, "source", f"network.flows[{fi}]"),
-                       f"network.flows[{fi}].source")
-        dst = _integer(_get(fsec, "destination", f"network.flows[{fi}]"),
-                       f"network.flows[{fi}].destination")
-        rate = _number(_get(fsec, "rate_pkts_per_slot", f"network.flows[{fi}]"),
-                       f"network.flows[{fi}].rate_pkts_per_slot")
-        routes = []
-        for ri, route in enumerate(
-            _listing(_get(fsec, "routes", f"network.flows[{fi}]"),
-                     f"network.flows[{fi}].routes")
-        ):
-            hops = _listing(route, f"network.flows[{fi}].routes[{ri}]")
-            routes.append(tuple(
-                _integer(h, f"network.flows[{fi}].routes[{ri}][{hi}]")
-                for hi, h in enumerate(hops)
-            ))
-        flows.append(Flow(source=src, destination=dst, routes=tuple(routes),
-                          arrival_rate=rate, qos=qos_by_flow.get(dst)))
-        seen_dest.add(dst)
-
+    values = _values(NetworkSpec, sec, "network")
+    flows = tuple(
+        Flow(**kw, qos=qos_by_flow.get(kw["destination"])) for kw in values.pop("flows")
+    )
+    destinations = {fl.destination for fl in flows}
     for fid in qos_by_flow:
-        if fid not in seen_dest:
+        if fid not in destinations:
             raise ConfigError(f"control.qos: flow id {fid} matches no flow destination")
-
-    extra = []
-    for si, item in enumerate(
-        _listing(sec.get("extra_interference_sets", []),
-                 "network.extra_interference_sets")
-    ):
-        members = _listing(item, f"network.extra_interference_sets[{si}]")
-        extra.append(tuple(
-            _integer(m, f"network.extra_interference_sets[{si}][{mi}]")
-            for mi, m in enumerate(members)
-        ))
-
-    spec = NetworkSpec(positions=tuple(nodes), links=tuple(links),
-                       flows=tuple(flows), interference_sets=tuple(extra))
-    return derive_interference_sets(spec)
+    return derive_interference_sets(NetworkSpec(flows=flows, **values))
 
 
 def _parse_qos(section: Any, theta_default: float) -> dict[int, QosSpec]:
@@ -314,7 +296,7 @@ def parse_config(text: str) -> SimConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML: {exc}") from None
     top = _mapping(doc, "config")
-    _check_keys(top, ("network", "channel", "optimizer", "control", "run"), "config")
+    _check_keys(top, _fields_by_key(SimConfig), "config")
     control, qos = _parse_control(top.get("control"))
     return SimConfig(
         network=_parse_network(top.get("network"), qos),

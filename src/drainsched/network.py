@@ -31,7 +31,10 @@ class ConfigError(ValueError):
 
 def is_integer(value) -> bool:
     """An int or numpy integer; bool, float and everything else are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # type(value) is int first: the ABC check alone costs ~10x as much.
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 @dataclass(frozen=True)
@@ -337,23 +340,23 @@ class ConstraintSet:
     endpoints: per coordinate k, the ids of the halfspaces covering the tail
         node i(k) and the head node j(k); these are the only constraints a
         single-coordinate increase can break.
+
+    The derived views are computed on first use and kept for the life of
+    the set:
     memberships: per coordinate, the ascending ids of all halfspaces whose
         member set contains it.
     masks: memberships as bitmasks (bit h set when halfspace h contains the
         coordinate); two coordinates conflict exactly when their masks share
         a bit.
-
-    The remaining derived views are the static data of the review path,
-    computed on first use and kept for the life of the set: the member
-    tuple of each halfspace and, per divisor mode, the endpoint plan of
-    every coordinate. The solver's kernel is compiled from a plan and cached
+    The rest are the static data of the review path: the member tuple of
+    each halfspace and, per divisor mode, the endpoint plan of every
+    coordinate. The solver's kernel is compiled from a plan and cached
     by optim.cycle_kernel, keyed by the plan, not kept on the set; a set
     holds only plain data and pickles as such.
     """
 
     halfspaces: tuple[Halfspace, ...]
     endpoints: tuple[tuple[int, int], ...]
-    memberships: tuple[tuple[int, ...], ...]
     n_coords: int
 
     def feasible(self, s, tol: float = 1e-9) -> bool:
@@ -363,6 +366,14 @@ class ConstraintSet:
             if sum(s[m] for m in h.members) > 1.0 + tol:
                 return False
         return True
+
+    @cached_property
+    def memberships(self) -> tuple[tuple[int, ...], ...]:
+        member_lists: list[list[int]] = [[] for _ in range(self.n_coords)]
+        for hi, h in enumerate(self.halfspaces):
+            for m in h.members:
+                member_lists[m].append(hi)
+        return tuple(map(tuple, member_lists))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -443,14 +454,6 @@ def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:
         i, j, _ = idx.entries[k]
         endpoints.append((h_of_set[home_set[i]], h_of_set[home_set[j]]))
 
-    member_lists: list[list[int]] = [[] for _ in range(idx.n_coords)]
-    for hi, h in enumerate(halfspaces):
-        for m in h.members:
-            member_lists[m].append(hi)
-
     return ConstraintSet(
-        halfspaces=tuple(halfspaces),
-        endpoints=tuple(endpoints),
-        memberships=tuple(tuple(ms) for ms in member_lists),
-        n_coords=idx.n_coords,
+        halfspaces=tuple(halfspaces), endpoints=tuple(endpoints), n_coords=idx.n_coords
     )

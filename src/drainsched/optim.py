@@ -203,23 +203,6 @@ def theorem_gap_bound(step_size: float, n_coords: int, c2: float) -> tuple[float
     return beta, c3
 
 
-def pseudo_draining_time(backlog: float, outflow: float) -> float:
-    """backlog / allocated outflow rate; a local lower bound on draining time.
-
-    Zero backlog drains instantly; positive backlog with zero outflow never
-    drains.
-    """
-    if backlog < 0:
-        raise ValueError(f"backlog must be >= 0, got {backlog}")
-    if outflow < 0:
-        raise ValueError(f"outflow must be >= 0, got {outflow}")
-    if backlog == 0:
-        return 0.0
-    if outflow == 0:
-        return math.inf
-    return backlog / outflow
-
-
 def solve_review_optimization(
     weights: WeightVector, constraints: ConstraintSet, params: OptParams
 ) -> tuple[np.ndarray, OptDiagnostics]:

@@ -1,11 +1,16 @@
 import math
+import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
+import yaml
 import pytest
 
 from drainsched.config import (
     _CHECKS,
+    _NOT_A_KEY,
+    _RENAMED,
     ChannelParams,
     ControlParams,
     RunParams,
@@ -14,7 +19,7 @@ from drainsched.config import (
 )
 from drainsched.control import QosSpec
 from drainsched.experiments import bundled_preset_config
-from drainsched.network import ConfigError
+from drainsched.network import ConfigError, Flow, NetworkSpec
 from drainsched.optim import OptParams
 
 MINIMAL = """
@@ -24,6 +29,9 @@ network:
   flows:
     - {source: 0, destination: 1, rate_pkts_per_slot: 0.5, routes: [[0, 1]]}
 """
+
+# Every class whose fields the config reader walks.
+READ_CLASSES = [ChannelParams, OptParams, ControlParams, RunParams, QosSpec, NetworkSpec, Flow]
 
 
 class TestDefaults:
@@ -49,9 +57,17 @@ class TestDefaults:
         assert cfg.control == ControlParams()
         assert cfg.run == RunParams()
 
-    @pytest.mark.parametrize("cls", [ChannelParams, OptParams, ControlParams, RunParams, QosSpec])
+    @pytest.mark.parametrize("cls", READ_CLASSES)
     def test_every_field_annotation_has_a_check(self, cls):
-        assert {f.type for f in fields(cls)} <= set(_CHECKS)
+        keyed = [f for f in fields(cls) if (cls, f.name) != _NOT_A_KEY]
+        assert {f.type for f in keyed} <= set(_CHECKS)
+
+    def test_flow_qos_is_the_one_field_that_is_not_a_key(self):
+        assert _NOT_A_KEY == (Flow, "qos")
+
+    def test_every_renamed_field_is_read(self):
+        names = [f.name for cls in READ_CLASSES for f in fields(cls)]
+        assert all(names.count(name) == 1 for name in _RENAMED)
 
     def test_interference_sets_are_derived(self):
         cfg = parse_config(MINIMAL)
@@ -341,3 +357,141 @@ class TestBundledPreset:
         path.write_text(MINIMAL)
         cfg = load_config(path)
         assert cfg.network.flow_ids == (1,)
+
+
+FLOW = {"source": 0, "destination": 1, "rate_pkts_per_slot": 0.5, "routes": [[0, 1]]}
+NETWORK = {"nodes": [[0.0, 0.0], [0.5, 0.5]], "links": [[0, 1]], "flows": [FLOW]}
+
+
+def _drop_none(mapping):
+    return {k: v for k, v in mapping.items() if v is not None}
+
+
+def _network(**changes):
+    """MINIMAL's network section with keys replaced (None deletes one)."""
+    return _drop_none(NETWORK | changes)
+
+
+def _flow(**changes):
+    """MINIMAL's network section with its flow's keys replaced (None deletes one)."""
+    return _network(flows=[_drop_none(FLOW | changes)])
+
+
+NAN = float("nan")
+
+# (network section, extra top-level sections, exact message)
+NETWORK_ERRORS = {
+    "null-section": (None, {}, "network: section is required"),
+    "empty-section": ({}, {}, "network: section is required"),
+    "section-not-mapping": ([1], {}, "network: expected a mapping, got list"),
+    "unknown-key": (_network(bogus=1), {},
+                    "network: unknown key 'bogus' (allowed: nodes, links, flows, "
+                    "extra_interference_sets)"),
+    "missing-nodes": (_network(nodes=None), {}, "network: missing required key 'nodes'"),
+    "missing-links": (_network(links=None), {}, "network: missing required key 'links'"),
+    "missing-flows": (_network(flows=None), {}, "network: missing required key 'flows'"),
+    "nodes-not-list": (_network(nodes=5), {}, "network.nodes: expected a list, got int"),
+    "node-not-list": (_network(nodes=[5]), {}, "network.nodes[0]: expected a list, got int"),
+    "node-short": (_network(nodes=[[0.0]]), {}, "network.nodes[0]: expected [x, y]"),
+    "node-long": (_network(nodes=[[0.0, 0.0], [0.5, 0.5, 0.5]]), {},
+                  "network.nodes[1]: expected [x, y]"),
+    "node-y-text": (_network(nodes=[[0.0, 0.0], [0.5, "a"]]), {},
+                    "network.nodes[1].y: expected a number, got 'a'"),
+    "node-x-nan": (_network(nodes=[[NAN, 0.0], [0.5, 0.5]]), {},
+                   "network.nodes[0].x: expected a finite number, got nan"),
+    "no-nodes": (_network(nodes=[], links=[], flows=[]), {},
+                 "network.nodes: at least one node is required"),
+    "links-not-list": (_network(links={"a": 1}), {}, "network.links: expected a list, got dict"),
+    "link-long": (_network(links=[[0, 1, 2]]), {}, "network.links[0]: expected [i, j]"),
+    "link-j-float": (_network(links=[[0, 1.0]]), {},
+                     "network.links[0].j: expected an integer, got 1.0"),
+    "link-i-bool": (_network(links=[[True, 1]]), {},
+                    "network.links[0].i: expected an integer, got True"),
+    "link-out-of-range": (_network(links=[[0, 1], [0, 5]]), {},
+                          "network.links[1]: endpoint out of range in (0, 5)"),
+    "self-link": (_network(links=[[0, 1], [1, 1]]), {},
+                  "network.links[1]: self-link (1, 1) not allowed"),
+    "duplicate-link": (_network(links=[[0, 1], [0, 1]]), {},
+                       "network.links[1]: duplicate link (0, 1)"),
+    "flows-not-list": (_network(flows=3), {}, "network.flows: expected a list, got int"),
+    "flow-not-mapping": (_network(flows=[5]), {},
+                         "network.flows[0]: expected a mapping, got int"),
+    "flow-null": (_network(flows=[None]), {},
+                  "network.flows[0]: missing required key 'source'"),
+    "missing-source": (_flow(source=None), {},
+                       "network.flows[0]: missing required key 'source'"),
+    "missing-destination": (_flow(destination=None), {},
+                            "network.flows[0]: missing required key 'destination'"),
+    "missing-rate": (_flow(rate_pkts_per_slot=None), {},
+                     "network.flows[0]: missing required key 'rate_pkts_per_slot'"),
+    "missing-routes": (_flow(routes=None), {},
+                       "network.flows[0]: missing required key 'routes'"),
+    # The parent listed rate_pkts_per_slot before routes; keys follow Flow's fields.
+    "flow-unknown-key": (_flow(bogus=1), {},
+                         "network.flows[0]: unknown key 'bogus' (allowed: source, "
+                         "destination, routes, rate_pkts_per_slot)"),
+    "source-text": (_flow(source="a"), {},
+                    "network.flows[0].source: expected an integer, got 'a'"),
+    "rate-text": (_flow(rate_pkts_per_slot="x"), {},
+                  "network.flows[0].rate_pkts_per_slot: expected a number, got 'x'"),
+    "rate-negative": (_flow(rate_pkts_per_slot=-1), {},
+                      "flow 0->1: arrival rate must be >= 0, got -1.0"),
+    "routes-not-list": (_flow(routes=5), {},
+                        "network.flows[0].routes: expected a list, got int"),
+    "route-not-list": (_flow(routes=[5]), {},
+                       "network.flows[0].routes[0]: expected a list, got int"),
+    "hop-float": (_flow(routes=[[0, 1.5]]), {},
+                  "network.flows[0].routes[0][1]: expected an integer, got 1.5"),
+    "no-routes": (_flow(routes=[]), {}, "flow 0->1: needs at least one route"),
+    "route-wrong-start": (_flow(routes=[[1, 0]]), {},
+                          "network.flows[0].routes[0]: route starts at 1, flow source is 0"),
+    "source-out-of-range": (_flow(source=4), {},
+                            "network.flows[0]: source/destination out of range"),
+    "extra-not-list": (_network(extra_interference_sets=3), {},
+                       "network.extra_interference_sets: expected a list, got int"),
+    "extra-null": (NETWORK | {"extra_interference_sets": None}, {},
+                   "network.extra_interference_sets: expected a list, got NoneType"),
+    "extra-set-not-list": (_network(extra_interference_sets=[3]), {},
+                           "network.extra_interference_sets[0]: expected a list, got int"),
+    "extra-member-text": (_network(extra_interference_sets=[[0, "a"]]), {},
+                          "network.extra_interference_sets[0][1]: expected an integer, "
+                          "got 'a'"),
+    "extra-empty-set": (_network(extra_interference_sets=[[]]), {},
+                        "network.interference_sets[0]: empty set"),
+    "extra-out-of-range": (_network(extra_interference_sets=[[4]]), {},
+                           "network.interference_sets[0]: link index 4 out of range"),
+    "qos-unknown-flow": (_network(),
+                         {"control": {"qos": {9: {"kind": "mean_delay", "target_slots": 5}}}},
+                         "control.qos: flow id 9 matches no flow destination"),
+    # The parent reported the QoS flow id first; the whole network section is
+    # now read before flow ids are matched.
+    "qos-unknown-flow-and-bad-extra": (
+        _network(extra_interference_sets=[["a"]]),
+        {"control": {"qos": {9: {"kind": "mean_delay", "target_slots": 5}}}},
+        "network.extra_interference_sets[0][0]: expected an integer, got 'a'"),
+    # The parent built each flow as soon as it was read; flows are now built
+    # after the whole network section is read.
+    "no-routes-and-bad-extra": (
+        _flow(routes=[]) | {"extra_interference_sets": [["a"]]}, {},
+        "network.extra_interference_sets[0][0]: expected an integer, got 'a'"),
+}
+
+
+class TestNetworkErrors:
+    @pytest.mark.parametrize("case", list(NETWORK_ERRORS))
+    def test_message(self, case):
+        network, sections, message = NETWORK_ERRORS[case]
+        doc = {"network": network} | sections
+        with pytest.raises(ConfigError) as exc:
+            parse_config(yaml.safe_dump(doc))
+        assert str(exc.value) == message
+
+
+class TestReadmeExample:
+    def test_yaml_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        cfg = parse_config(block)
+        assert cfg.network.flow_ids == (1, 2)
+        assert cfg.network.qos_of(1).kind == "hard_deadline"
+        assert cfg.network.qos_of(2).kind == "mean_delay"

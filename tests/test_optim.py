@@ -18,7 +18,6 @@ from drainsched.optim import (
     finalize_feasible,
     objective,
     project_onto_halfspace,
-    pseudo_draining_time,
     solve_review_optimization,
     theorem_gap_bound,
 )
@@ -376,7 +375,7 @@ class TestFinalizeMatchesNumpyReference:
     def test_empty_sequence(self):
         from drainsched.network import ConstraintSet
 
-        empty = ConstraintSet(halfspaces=(), endpoints=(), memberships=(), n_coords=0)
+        empty = ConstraintSet(halfspaces=(), endpoints=(), n_coords=0)
         assert_same_bits(finalize_feasible([], empty), numpy_finalize_feasible([], empty))
 
     def test_input_not_modified(self):
@@ -674,8 +673,7 @@ def wide_constraints(n):
     last = len(groups) - 1
     endpoints = tuple((last + 1 if k == 0 else k // 3, min(k // 3 + 1, last)) for k in range(n))
     groups.append(tuple(range(n)))
-    memberships = tuple(tuple(h for h, g in enumerate(groups) if k in g) for k in range(n))
-    return ConstraintSet(tuple(map(Halfspace.sum_cap, groups)), endpoints, memberships, n)
+    return ConstraintSet(tuple(map(Halfspace.sum_cap, groups)), endpoints, n)
 
 
 class TestCycleKernel:
@@ -839,25 +837,3 @@ class TestDiagnostics:
         assert diag.c2 == 18.0
         assert diag.beta == pytest.approx(4 + 1 / 4)
         assert diag.c3 == pytest.approx(1e-4 * (4 + 1 / 4) * 16 * 18.0**2 / 2)
-
-
-class TestPseudoDrainingTime:
-    def test_zero_backlog(self):
-        assert pseudo_draining_time(0.0, 0.0) == 0.0
-
-    def test_arithmetic(self):
-        assert pseudo_draining_time(10.0, 2.0) == 5.0
-
-    def test_zero_outflow_infinite(self):
-        assert pseudo_draining_time(3.0, 0.0) == math.inf
-
-    def test_lower_bound_on_draining_time_with_inflow(self):
-        backlog, outflow, lam = 12.0, 4.0, 1.5
-        tau = backlog / (outflow - lam)
-        assert pseudo_draining_time(backlog, outflow) <= tau
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            pseudo_draining_time(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            pseudo_draining_time(1.0, -1.0)

@@ -75,7 +75,6 @@ class TestOracleSolve:
         big = type(cons)(
             halfspaces=cons.halfspaces,
             endpoints=cons.endpoints,
-            memberships=cons.memberships,
             n_coords=ORACLE_MAX_COORDS + 1,
         )
         wv = WeightVector(w=np.zeros(ORACLE_MAX_COORDS + 1),
