@@ -38,7 +38,6 @@ from .network import (
     ConstraintSet,
     Flow,
     Halfspace,
-    LinkFlowIndex,
     NetworkSpec,
     build_constraints,
     build_link_flow_index,

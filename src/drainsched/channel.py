@@ -38,7 +38,7 @@ def draw_gains(
     draws = rng.standard_exponential(len(spec.links)).tolist()
     sqrt = math.sqrt
     gains = {}
-    for link, d2, e in zip(spec.links, spec.squared_lengths.tolist(), draws):
+    for link, d2, e in zip(spec.links, spec.squared_lengths, draws):
         a = scale_constant / d2 * sqrt(2.0 * e)
         gains[link] = a * a
     return gains

@@ -123,7 +123,7 @@ def _cmd_oracle_check(args) -> int:
             failures += 1
         worst_gap = max(worst_gap, gap)
         print(
-            f"seed {inst.seed}: coords {inst.idx.n_coords}, oracle {best:.6g}, "
+            f"seed {inst.seed}: coords {inst.constraints.n_coords}, oracle {best:.6g}, "
             f"solver {got:.6g}, gap {gap:.3g}, c3 {diag.c3:.3g} "
             f"{'ok' if ok else 'VIOLATION'}"
         )

@@ -69,6 +69,12 @@ class ControlParams:
             raise ConfigError("control.a2 must be finite and > 0")
         if not 0 <= self.safety_stock_pkts < math.inf:
             raise ConfigError("control.safety_stock_pkts must be finite and >= 0")
+        if not is_integer(self.safety_stock_pkts):
+            raise ConfigError(
+                f"control.safety_stock_pkts must be an integer, got {self.safety_stock_pkts!r}"
+            )
+        # A numpy integer would turn the engine's packet counts into numpy scalars.
+        object.__setattr__(self, "safety_stock_pkts", int(self.safety_stock_pkts))
         if not 1.0 < self.theta_hat_default < math.inf:
             raise ConfigError("control.theta_hat_default must be finite and > 1")
 

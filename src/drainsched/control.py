@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .network import ConfigError, ConstraintSet
+from .network import ConfigError, ConstraintSet, is_integer
 
 if TYPE_CHECKING:
     from .engine import FlowMetrics
@@ -53,6 +53,11 @@ class QosSpec:
         else:
             if self.deadline_slots is None or not 0 < self.deadline_slots < math.inf:
                 raise ConfigError("qos: hard_deadline requires a finite deadline_slots > 0")
+            if not is_integer(self.deadline_slots):
+                raise ConfigError(
+                    f"qos.deadline_slots must be an integer, got {self.deadline_slots!r}"
+                )
+            object.__setattr__(self, "deadline_slots", int(self.deadline_slots))
             if self.drop_ratio_target is None or not 0 < self.drop_ratio_target < 1:
                 raise ConfigError("qos: hard_deadline requires drop_ratio_target in (0, 1)")
             if self.target_slots is not None:

@@ -162,18 +162,15 @@ class Simulation:
 
         net = config.network
         self.net = net
-        self.idx = build_link_flow_index(net)
-        self.constraints = build_constraints(self.idx, net)
-        nk = self.idx.n_coords
+        entries = build_link_flow_index(net)
+        self.constraints = build_constraints(entries, net)
 
-        self._qkeys = sorted({(i, f) for (i, j, f) in self.idx.entries})
+        self._qkeys = sorted({(i, f) for (i, j, f) in entries})
         qpos = {key: qi for qi, key in enumerate(self._qkeys)}
-        self._qidx_of = [qpos[(i, f)] for (i, j, f) in self.idx.entries]
-        self._f_of = [f for (_, _, f) in self.idx.entries]
-        self._link_of = [(i, j) for (i, j, _) in self.idx.entries]
-        self._rxq_of = [
-            -1 if j == f else qpos[(j, f)] for (i, j, f) in self.idx.entries
-        ]
+        self._qidx_of = [qpos[(i, f)] for (i, j, f) in entries]
+        self._f_of = [f for (_, _, f) in entries]
+        self._link_of = [(i, j) for (i, j, _) in entries]
+        self._rxq_of = [-1 if j == f else qpos[(j, f)] for (i, j, f) in entries]
 
         nq = len(self._qkeys)
         # Queue qi is the FIFO of buckets zip(born[qi], count[qi]).
@@ -214,11 +211,10 @@ class Simulation:
             )
 
         self._qbar = config.control.safety_stock_pkts
-        self._fmu = [0] * nk
+        self._fmu = [0] * len(entries)
         self.t = 0
         self.t_prev = 0
         self.t_rev = 0
-        self._period_count = 0
         self._slots: tuple[tuple[int, ...], ...] = ((),)
         self.periods: list[PeriodRecord] = []
         self.conservation_violations = 0
@@ -241,13 +237,11 @@ class Simulation:
 
     def _review(self, t: int) -> None:
         cfg = self.config
-        period = self._period_count
-        self._period_count += 1
         if cfg.channel.gain_model == "fixed":
             gains = chan.fixed_gains(self.net, cfg.channel.fixed_gain)
         else:
             gains = chan.draw_gains(
-                self.net, period, self.seed, cfg.channel.rayleigh_scale_constant
+                self.net, len(self.periods), self.seed, cfg.channel.rayleigh_scale_constant
             )
         rates = chan.rate_table(
             gains, cfg.channel.tx_power, cfg.channel.noise_power, cfg.channel.log_base

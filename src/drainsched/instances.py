@@ -26,7 +26,6 @@ import numpy as np
 from .network import (
     ConstraintSet,
     Flow,
-    LinkFlowIndex,
     NetworkSpec,
     build_constraints,
     build_link_flow_index,
@@ -44,7 +43,6 @@ _STEP_CAP = 0.2
 class RandomInstance:
     seed: int
     spec: NetworkSpec
-    idx: LinkFlowIndex
     constraints: ConstraintSet
     weights: WeightVector
     step_size: float
@@ -87,12 +85,12 @@ def random_instance(seed: int, max_coords: int = 6) -> RandomInstance:
         spec = _random_topology(rng)
         if spec is None:
             continue
-        idx = build_link_flow_index(spec)
-        if not 2 <= idx.n_coords <= max_coords:
+        entries = build_link_flow_index(spec)
+        n = len(entries)
+        if not 2 <= n <= max_coords:
             continue
-        constraints = build_constraints(idx, spec)
+        constraints = build_constraints(entries, spec)
 
-        n = idx.n_coords
         regime = float(_REGIMES[int(rng.integers(0, len(_REGIMES)))])
         loads = regime * rng.uniform(0.5, 1.0, len(constraints.halfspaces))
         gains = np.zeros(n)
@@ -100,14 +98,13 @@ def random_instance(seed: int, max_coords: int = 6) -> RandomInstance:
             for k in h.members:
                 gains[k] += loads[hid]
         mu_by_link = {link: 0.5 + 5.5 * float(rng.random()) for link in spec.links}
-        mu = np.array([mu_by_link[idx.link(k)] for k in range(n)])
+        mu = np.array([mu_by_link[(i, j)] for i, j, _ in entries])
         weights = WeightVector(w=gains / mu, mu=mu, theta_hat=1.0)
         max_gain = float(gains.max())
         step = 1e-4 if max_gain == 0 else min(_STEP_CAP, _STEP_PER_VISIT / max_gain)
         return RandomInstance(
             seed=seed,
             spec=spec,
-            idx=idx,
             constraints=constraints,
             weights=weights,
             step_size=step,

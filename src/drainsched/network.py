@@ -10,14 +10,13 @@ mutually exclusive), and assembles the feasibility polytope as one
 
 from __future__ import annotations
 
+import copy
 import graphlib
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 if TYPE_CHECKING:
     from .control import QosSpec
@@ -44,7 +43,8 @@ class Flow:
     Traffic identity follows the destination: every stream addressed to the
     same node belongs to the same flow and shares that flow's per-node queues
     and QoS accounting. Routes are fixed node paths from source to
-    destination; the scheduler may split traffic across them.
+    destination; the scheduler may split traffic across them. The
+    NetworkSpec that holds a flow checks it.
     """
 
     source: int
@@ -56,18 +56,6 @@ class Flow:
     def __post_init__(self):
         object.__setattr__(self, "routes", tuple(tuple(int(n) for n in r) for r in self.routes))
         object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
-        if not self.routes:
-            raise ConfigError(f"flow {self.source}->{self.destination}: needs at least one route")
-        if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0:
-            raise ConfigError(
-                f"flow {self.source}->{self.destination}: arrival rate must be >= 0, "
-                f"got {self.arrival_rate}"
-            )
-
-    @property
-    def id(self) -> int:
-        """Flow identifier: the destination node."""
-        return self.destination
 
 
 @dataclass(frozen=True)
@@ -134,14 +122,20 @@ class NetworkSpec:
                 )
         for si, members in enumerate(self.interference_sets):
             if not members:
-                raise ConfigError(f"network.interference_sets[{si}]: empty set")
+                raise ConfigError(f"network.extra_interference_sets[{si}]: empty set")
             for m in members:
                 if not 0 <= m < len(self.links):
                     raise ConfigError(
-                        f"network.interference_sets[{si}]: link index {m} out of range"
+                        f"network.extra_interference_sets[{si}]: link index {m} out of range"
                     )
         by_dest: dict[int, list[Flow]] = {}
         for fi, fl in enumerate(self.flows):
+            if not fl.routes:
+                raise ConfigError(f"network.flows[{fi}]: needs at least one route")
+            if not 0 <= fl.arrival_rate < math.inf:
+                raise ConfigError(
+                    f"network.flows[{fi}]: arrival rate must be >= 0, got {fl.arrival_rate}"
+                )
             if not (0 <= fl.source < n and 0 <= fl.destination < n):
                 raise ConfigError(f"network.flows[{fi}]: source/destination out of range")
             for ri, route in enumerate(fl.routes):
@@ -227,11 +221,9 @@ class NetworkSpec:
         return math.hypot(x1 - x2, y1 - y2)
 
     @cached_property
-    def squared_lengths(self) -> np.ndarray:
-        """distance(link) ** 2 per link, in declared link order (read-only)."""
-        out = np.array([self.distance(l) ** 2 for l in self.links], dtype=float)
-        out.flags.writeable = False
-        return out
+    def squared_lengths(self) -> tuple[float, ...]:
+        """distance(link) ** 2 per link, in declared link order."""
+        return tuple(self.distance(l) ** 2 for l in self.links)
 
     def incident_links(self, node: int) -> tuple[int, ...]:
         return tuple(li for li, (i, j) in enumerate(self.links) if node in (i, j))
@@ -244,6 +236,9 @@ def derive_interference_sets(spec: NetworkSpec) -> NetworkSpec:
     interference set. User-declared sets are preserved. Duplicates and sets
     wholly contained in another set are dropped; the result is ordered by the
     sorted member tuples so identical inputs give identical outputs.
+
+    Only the interference sets change, and each derived set is a nonempty
+    set of declared link indices, so the spec is not validated again.
     """
     candidates = {frozenset(s) for s in spec.interference_sets}
     for v in range(spec.n_nodes):
@@ -252,35 +247,22 @@ def derive_interference_sets(spec: NetworkSpec) -> NetworkSpec:
             candidates.add(inc)
     keep = [s for s in candidates if not any(s < t for t in candidates)]
     keep.sort(key=lambda s: tuple(sorted(s)))
-    return replace(spec, interference_sets=tuple(tuple(sorted(s)) for s in keep))
+    # The copy keeps spec's cached views; none of them reads interference_sets.
+    derived = copy.copy(spec)
+    object.__setattr__(derived, "interference_sets", tuple(tuple(sorted(s)) for s in keep))
+    return derived
 
 
-@dataclass(frozen=True)
-class LinkFlowIndex:
-    """Deterministic ordering of the allowed (link, flow) pairs.
+def build_link_flow_index(spec: NetworkSpec) -> tuple[tuple[int, int, int], ...]:
+    """Enumerate exactly the (link, flow) pairs allowed by the routes.
 
-    Coordinate k corresponds to entries[k] = (i, j, flow_id); entries are
-    sorted lexicographically, which pins the cyclic update order of the
-    optimizer and every other per-coordinate iteration in the system.
+    Coordinate k is entries[k] = (i, j, flow_id); entries are sorted
+    lexicographically, which pins the cyclic update order of the optimizer
+    and every other per-coordinate iteration in the system.
     """
-
-    entries: tuple[tuple[int, int, int], ...]
-
-    @property
-    def n_coords(self) -> int:
-        return len(self.entries)
-
-    def link(self, k: int) -> Link:
-        i, j, _ = self.entries[k]
-        return (i, j)
-
-
-def build_link_flow_index(spec: NetworkSpec) -> LinkFlowIndex:
-    """Enumerate exactly the (link, flow) pairs allowed by the routes."""
-    entries = sorted(
+    return tuple(sorted(
         (i, j, fid) for fid in spec.flow_ids for (i, j) in spec.route_links(fid)
-    )
-    return LinkFlowIndex(tuple(entries))
+    ))
 
 
 @dataclass(frozen=True)
@@ -412,8 +394,11 @@ class ConstraintSet:
         }
 
 
-def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:
-    """Build the polytope and the per-coordinate endpoint lookup.
+def build_constraints(
+    entries: tuple[tuple[int, int, int], ...], spec: NetworkSpec
+) -> ConstraintSet:
+    """Build the polytope over the coordinates entries (as returned by
+    build_link_flow_index) and the per-coordinate endpoint lookup.
 
     Requires derived interference sets: each node's incident links must be
     contained in a single set, otherwise the endpoint lookup is undefined.
@@ -439,21 +424,17 @@ def build_constraints(idx: LinkFlowIndex, spec: NetworkSpec) -> ConstraintSet:
                 "call derive_interference_sets first"
             )
 
-    coord_links = [spec.link_index[idx.link(k)] for k in range(idx.n_coords)]
+    coord_links = [spec.link_index[(i, j)] for i, j, _ in entries]
     halfspaces: list[Halfspace] = []
     h_of_set: dict[int, int] = {}
     for si, links in enumerate(set_links):
-        members = tuple(k for k in range(idx.n_coords) if coord_links[k] in links)
+        members = tuple(k for k, li in enumerate(coord_links) if li in links)
         if not members:
             continue
         h_of_set[si] = len(halfspaces)
         halfspaces.append(Halfspace.sum_cap(members, link_count=len(links)))
 
-    endpoints = []
-    for k in range(idx.n_coords):
-        i, j, _ = idx.entries[k]
-        endpoints.append((h_of_set[home_set[i]], h_of_set[home_set[j]]))
-
+    endpoints = tuple((h_of_set[home_set[i]], h_of_set[home_set[j]]) for i, j, _ in entries)
     return ConstraintSet(
-        halfspaces=tuple(halfspaces), endpoints=tuple(endpoints), n_coords=idx.n_coords
+        halfspaces=tuple(halfspaces), endpoints=endpoints, n_coords=len(entries)
     )

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -18,6 +19,7 @@ from drainsched.config import (
     parse_config,
 )
 from drainsched.control import QosSpec
+from drainsched.engine import run_simulation
 from drainsched.experiments import bundled_preset_config
 from drainsched.network import ConfigError, Flow, NetworkSpec
 from drainsched.optim import OptParams
@@ -233,6 +235,40 @@ control:
         with pytest.raises(ConfigError, match=f"control.{field} must be finite"):
             replace(control, **{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_packet_count_named(self, value):
+        # dataclasses.replace skips the parser; a fractional safety stock or
+        # deadline would move and count fractions of packets.
+        control = parse_config(MINIMAL).control
+        with pytest.raises(ConfigError,
+                           match=f"^control.safety_stock_pkts must be an integer, got {value}"):
+            replace(control, safety_stock_pkts=value)
+        spec = QosSpec(kind="hard_deadline", deadline_slots=100, drop_ratio_target=0.02)
+        with pytest.raises(ConfigError, match=f"^qos.deadline_slots must be an integer, got {value}"):
+            replace(spec, deadline_slots=value)
+
+    def test_numpy_integer_packet_counts_stored_as_int(self):
+        # A numpy safety stock made every delivered count a numpy scalar,
+        # which the JSON export cannot write.
+        cfg = parse_config(MINIMAL)
+        cfg = replace(cfg, control=replace(cfg.control, safety_stock_pkts=np.int64(0)))
+        assert type(cfg.control.safety_stock_pkts) is int
+        spec = QosSpec(kind="hard_deadline", deadline_slots=np.int32(9), drop_ratio_target=0.1)
+        assert spec.deadline_slots == 9 and type(spec.deadline_slots) is int
+        report = run_simulation(cfg, horizon=20, seed=1)
+        assert report.flows[1].delivered > 0
+        json.dumps(report.to_dict())
+
+    @pytest.mark.parametrize("section, path", [
+        ("control: {{safety_stock_pkts: {}}}", "control.safety_stock_pkts"),
+        ("control: {{qos: {{1: {{kind: hard_deadline, deadline_slots: {},"
+         " drop_ratio_target: 0.1}}}}}}", r"control.qos\[1\].deadline_slots"),
+    ], ids=["safety_stock_pkts", "deadline_slots"])
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_non_integer_packet_count_parsed(self, section, path, value):
+        with pytest.raises(ConfigError, match=f"^{path}: expected an integer"):
+            parse_config(MINIMAL + "\n" + section.format(value) + "\n")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_step_size_named(self, value):
         optimizer = parse_config(MINIMAL).optimizer
@@ -344,6 +380,15 @@ class TestBundledPreset:
         assert cfg.control.safety_stock_pkts == 5
         assert cfg.optimizer.step_size == 1e-4
 
+    def test_network_is_validated_once(self, monkeypatch):
+        # derive_interference_sets adds only the node sets; it does not check
+        # the parsed network a second time.
+        calls = []
+        validate = NetworkSpec._validate
+        monkeypatch.setattr(NetworkSpec, "_validate", lambda self: calls.append(validate(self)))
+        bundled_preset_config()
+        assert len(calls) == 1
+
     def test_digest_is_stable(self):
         assert bundled_preset_config().digest() == bundled_preset_config().digest()
 
@@ -435,14 +480,14 @@ NETWORK_ERRORS = {
     "rate-text": (_flow(rate_pkts_per_slot="x"), {},
                   "network.flows[0].rate_pkts_per_slot: expected a number, got 'x'"),
     "rate-negative": (_flow(rate_pkts_per_slot=-1), {},
-                      "flow 0->1: arrival rate must be >= 0, got -1.0"),
+                      "network.flows[0]: arrival rate must be >= 0, got -1.0"),
     "routes-not-list": (_flow(routes=5), {},
                         "network.flows[0].routes: expected a list, got int"),
     "route-not-list": (_flow(routes=[5]), {},
                        "network.flows[0].routes[0]: expected a list, got int"),
     "hop-float": (_flow(routes=[[0, 1.5]]), {},
                   "network.flows[0].routes[0][1]: expected an integer, got 1.5"),
-    "no-routes": (_flow(routes=[]), {}, "flow 0->1: needs at least one route"),
+    "no-routes": (_flow(routes=[]), {}, "network.flows[0]: needs at least one route"),
     "route-wrong-start": (_flow(routes=[[1, 0]]), {},
                           "network.flows[0].routes[0]: route starts at 1, flow source is 0"),
     "source-out-of-range": (_flow(source=4), {},
@@ -457,9 +502,9 @@ NETWORK_ERRORS = {
                           "network.extra_interference_sets[0][1]: expected an integer, "
                           "got 'a'"),
     "extra-empty-set": (_network(extra_interference_sets=[[]]), {},
-                        "network.interference_sets[0]: empty set"),
+                        "network.extra_interference_sets[0]: empty set"),
     "extra-out-of-range": (_network(extra_interference_sets=[[4]]), {},
-                           "network.interference_sets[0]: link index 4 out of range"),
+                           "network.extra_interference_sets[0]: link index 4 out of range"),
     "qos-unknown-flow": (_network(),
                          {"control": {"qos": {9: {"kind": "mean_delay", "target_slots": 5}}}},
                          "control.qos: flow id 9 matches no flow destination"),

@@ -29,8 +29,8 @@ def star_constraints(n_branches, n_nodes=None):
             flows=flows,
         )
     )
-    idx = build_link_flow_index(spec)
-    return idx, build_constraints(idx, spec)
+    entries = build_link_flow_index(spec)
+    return entries, build_constraints(entries, spec)
 
 
 class TestNextReviewTime:
@@ -143,12 +143,12 @@ class TestUpdateQosWeights:
 
 class TestBuildSlotSchedule:
     def test_half_rate_single_link_gets_half_the_window(self):
-        idx, cons = star_constraints(1)
+        entries, cons = star_constraints(1)
         sched = build_slot_schedule(np.array([0.5]), 10, cons)
         assert sched.assigned == (5,)
 
     def test_two_conflicting_links_never_co_active(self):
-        idx, cons = star_constraints(2)
+        entries, cons = star_constraints(2)
         sched = build_slot_schedule(np.array([1.0, 1.0]), 10, cons)
         for active in sched.active_by_offset:
             assert len(active) <= 1
@@ -156,19 +156,19 @@ class TestBuildSlotSchedule:
         assert sched.count_violations(cons) == 0
 
     def test_three_branch_star_fills_4_4_2(self):
-        idx, cons = star_constraints(3)
+        entries, cons = star_constraints(3)
         sched = build_slot_schedule(np.array([0.4, 0.4, 0.4]), 10, cons)
         assert sched.assigned == (4, 4, 2)
 
     def test_quota_rounding_bumps_above_half(self):
-        idx, cons = star_constraints(1)
+        entries, cons = star_constraints(1)
         assert build_slot_schedule(np.array([0.26]), 10, cons).quota == (3,)  # 2.6
         assert build_slot_schedule(np.array([0.24]), 10, cons).quota == (2,)  # 2.4
         assert build_slot_schedule(np.array([0.25]), 10, cons).quota == (2,)  # 2.5 no bump
 
     def test_quota_never_exceeds_ceiling_or_window(self):
         rng = np.random.default_rng(5)
-        idx, cons = star_constraints(4)
+        entries, cons = star_constraints(4)
         from drainsched.optim import finalize_feasible
 
         for _ in range(200):
@@ -183,6 +183,6 @@ class TestBuildSlotSchedule:
             assert sched.count_violations(cons) == 0
 
     def test_window_must_be_positive(self):
-        idx, cons = star_constraints(1)
+        entries, cons = star_constraints(1)
         with pytest.raises(ValueError):
             build_slot_schedule(np.array([0.5]), 0, cons)

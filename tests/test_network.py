@@ -64,8 +64,28 @@ class TestValidation:
             simple_net([(0, 1), (1, 2)], [flow], n_nodes=3)
 
     def test_negative_rate_rejected(self):
+        flow = Flow(source=0, destination=1, routes=((0, 1),), arrival_rate=-0.5)
         with pytest.raises(ConfigError, match="arrival rate"):
-            Flow(source=0, destination=1, routes=((0, 1),), arrival_rate=-0.5)
+            simple_net([(0, 1)], [flow])
+
+    @pytest.mark.parametrize("routes, rate, message", [
+        ((), 1.0, "needs at least one route"),
+        (((0, 1),), math.nan, "arrival rate must be >= 0, got nan"),
+        (((0, 1),), -math.inf, "arrival rate must be >= 0, got -inf"),
+    ], ids=["no-routes", "rate-nan", "rate-minus-inf"])
+    def test_flow_rule_names_the_flow_by_path(self, routes, rate, message):
+        # Two streams with the same endpoints: only the path tells them apart.
+        flows = [
+            Flow(source=0, destination=1, routes=((0, 1),), arrival_rate=1.0),
+            Flow(source=0, destination=1, routes=routes, arrival_rate=rate),
+        ]
+        with pytest.raises(ConfigError) as exc:
+            simple_net([(0, 1)], flows)
+        assert str(exc.value) == f"network.flows[1]: {message}"
+
+    def test_flow_alone_is_not_checked(self):
+        flow = Flow(source=0, destination=1, routes=(), arrival_rate=-1)
+        assert (flow.routes, flow.arrival_rate) == ((), -1.0)
 
     def test_coincident_link_endpoints_rejected(self):
         with pytest.raises(ConfigError, match="coincident"):
@@ -93,34 +113,27 @@ class TestLinkFlowIndex:
     def test_single_one_hop_flow(self):
         flow = Flow(source=5, destination=7, routes=((5, 7),), arrival_rate=1.0)
         spec = simple_net([(5, 7)], [flow], n_nodes=8)
-        idx = build_link_flow_index(spec)
-        assert idx.entries == ((5, 7, 7),)
+        assert build_link_flow_index(spec) == ((5, 7, 7),)
 
     def test_multi_route_flow_covers_all_distinct_route_links(self):
         flow = Flow(source=0, destination=9, arrival_rate=1.0,
                     routes=((0, 1, 3, 7, 9), (0, 4, 9), (0, 2, 6, 8, 9)))
         spec = simple_net(MESH10_LINKS, [flow], n_nodes=10)
-        idx = build_link_flow_index(spec)
+        entries = build_link_flow_index(spec)
         expected_links = set()
         for route in flow.routes:
             expected_links.update(zip(route, route[1:]))
-        assert {(i, j) for (i, j, f) in idx.entries} == expected_links
-        assert all(f == 9 for (_, _, f) in idx.entries)
-        assert idx.n_coords == len(expected_links)
+        assert {(i, j) for (i, j, f) in entries} == expected_links
+        assert all(f == 9 for (_, _, f) in entries)
+        assert len(entries) == len(expected_links)
 
     def test_two_flows_sharing_a_link_get_two_entries(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        entries_13 = [e for e in idx.entries if (e[0], e[1]) == (1, 3)]
+        entries_13 = [e for e in build_link_flow_index(mesh10) if (e[0], e[1]) == (1, 3)]
         assert entries_13 == [(1, 3, 7), (1, 3, 9)]
 
     def test_ordering_is_lexicographic(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        assert list(idx.entries) == sorted(idx.entries)
-
-    def test_index_lookup_roundtrip(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        for k, (i, j, f) in enumerate(idx.entries):
-            assert idx.link(k) == (i, j)
+        entries = build_link_flow_index(mesh10)
+        assert list(entries) == sorted(entries)
 
 
 class TestDeriveInterferenceSets:
@@ -128,6 +141,17 @@ class TestDeriveInterferenceSets:
         spec = simple_net([(1, 2), (3, 2), (2, 4)], [], n_nodes=5)
         derived = derive_interference_sets(spec)
         assert (0, 1, 2) in derived.interference_sets
+
+    def test_changes_only_the_sets_of_a_copy_without_validating(self, monkeypatch):
+        spec = simple_net([(0, 1), (1, 2)], [], extra=[(1,)])
+        calls = []
+        monkeypatch.setattr(NetworkSpec, "_validate", lambda self: calls.append(self))
+        derived = derive_interference_sets(spec)
+        assert calls == []
+        assert spec.interference_sets == ((1,),)
+        assert derived.interference_sets == ((0, 1),)
+        for name in ("positions", "links", "flows"):
+            assert getattr(derived, name) is getattr(spec, name)
 
     def test_disjoint_links_share_no_set(self):
         spec = simple_net([(1, 2), (3, 4)], [], n_nodes=5)
@@ -167,8 +191,8 @@ class TestBuildConstraints:
             Flow(source=0, destination=3, routes=((0, 3),), arrival_rate=1.0),
         ]
         spec = derive_interference_sets(simple_net([(0, 1), (0, 2), (0, 3)], flows))
-        idx = build_link_flow_index(spec)
-        cons = build_constraints(idx, spec)
+        entries = build_link_flow_index(spec)
+        cons = build_constraints(entries, spec)
         assert len(cons.halfspaces) == 1
         h = cons.halfspaces[0]
         assert h.members == (0, 1, 2)
@@ -179,43 +203,43 @@ class TestBuildConstraints:
     def test_singleton_set_is_box_cap(self):
         flow = Flow(source=0, destination=1, routes=((0, 1),), arrival_rate=1.0)
         spec = derive_interference_sets(simple_net([(0, 1)], [flow], n_nodes=2))
-        idx = build_link_flow_index(spec)
-        cons = build_constraints(idx, spec)
+        entries = build_link_flow_index(spec)
+        cons = build_constraints(entries, spec)
         assert len(cons.halfspaces) == 1
         assert cons.halfspaces[0].normal == (1.0,)
         assert cons.halfspaces[0].bound == 1.0
 
     def test_endpoint_lookup_is_node_sets(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        cons = build_constraints(idx, mesh10)
-        k = idx.entries.index((3, 7, 7))
+        entries = build_link_flow_index(mesh10)
+        cons = build_constraints(entries, mesh10)
+        k = entries.index((3, 7, 7))
         h_tail, h_head = (cons.halfspaces[h] for h in cons.endpoints[k])
         # tail halfspace covers node 3's links, head covers node 7's links
-        tail_links = {idx.link(m) for m in h_tail.members}
-        head_links = {idx.link(m) for m in h_head.members}
+        tail_links = {entries[m][:2] for m in h_tail.members}
+        head_links = {entries[m][:2] for m in h_head.members}
         assert {(1, 3), (3, 7)} <= tail_links
         assert {(3, 7), (5, 7), (7, 9)} <= head_links
 
     def test_endpoint_halfspaces_contain_coordinate(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        cons = build_constraints(idx, mesh10)
-        for k in range(idx.n_coords):
+        entries = build_link_flow_index(mesh10)
+        cons = build_constraints(entries, mesh10)
+        for k in range(len(entries)):
             for h in cons.endpoints[k]:
                 assert k in cons.halfspaces[h].members
 
     def test_masks_have_exactly_the_membership_bits(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        cons = build_constraints(idx, mesh10)
-        assert len(cons.masks) == idx.n_coords
+        entries = build_link_flow_index(mesh10)
+        cons = build_constraints(entries, mesh10)
+        assert len(cons.masks) == len(entries)
         for k, mask in enumerate(cons.masks):
             bits = {h for h in range(len(cons.halfspaces)) if mask >> h & 1}
             assert bits == set(cons.memberships[k])
             assert mask >> len(cons.halfspaces) == 0
 
     def test_link_without_flow_contributes_no_coordinate(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        cons = build_constraints(idx, mesh10)
-        used = {idx.link(k) for k in range(idx.n_coords)}
+        entries = build_link_flow_index(mesh10)
+        cons = build_constraints(entries, mesh10)
+        used = {(i, j) for i, j, _ in entries}
         assert used == set(MESH10_LINKS)  # every mesh link carries flow here
         # add an unused link and rebuild: no new coordinates appear
         spec2 = derive_interference_sets(
@@ -225,39 +249,39 @@ class TestBuildConstraints:
                 flows=MESH10_FLOWS,
             )
         )
-        idx2 = build_link_flow_index(spec2)
-        assert idx2.entries == idx.entries
-        cons2 = build_constraints(idx2, spec2)
+        entries2 = build_link_flow_index(spec2)
+        assert entries2 == entries
+        cons2 = build_constraints(entries2, spec2)
         assert all(h.members for h in cons2.halfspaces)
 
     def test_requires_derived_sets(self, mesh10):
-        idx = build_link_flow_index(mesh10)
+        entries = build_link_flow_index(mesh10)
         raw = NetworkSpec(positions=MESH10_POSITIONS, links=MESH10_LINKS, flows=MESH10_FLOWS)
         with pytest.raises(ConfigError, match="derive_interference_sets"):
-            build_constraints(idx, raw)
+            build_constraints(entries, raw)
 
     def test_deterministic_construction(self, mesh10):
-        idx = build_link_flow_index(mesh10)
-        assert build_constraints(idx, mesh10) == build_constraints(idx, mesh10)
+        entries = build_link_flow_index(mesh10)
+        assert build_constraints(entries, mesh10) == build_constraints(entries, mesh10)
 
     def test_feasible_point_obeys_link_and_pairwise_sums(self, mesh10):
         from drainsched.optim import finalize_feasible
 
-        idx = build_link_flow_index(mesh10)
-        cons = build_constraints(idx, mesh10)
+        entries = build_link_flow_index(mesh10)
+        cons = build_constraints(entries, mesh10)
         rng = np.random.default_rng(42)
         for _ in range(200):
-            s = finalize_feasible(rng.uniform(-1, 3, idx.n_coords), cons)
+            s = finalize_feasible(rng.uniform(-1, 3, len(entries)), cons)
             assert cons.feasible(s)
             # per-link sum over flows <= 1
             for link in MESH10_LINKS:
                 total = sum(
-                    s[k] for k in range(idx.n_coords) if idx.link(k) == link
+                    s[k] for k, (i, j, _) in enumerate(entries) if (i, j) == link
                 )
                 assert total <= 1.0 + 1e-9
             # pairwise link sums within any common interference set <= 1
             link_sum = {
-                link: sum(s[k] for k in range(idx.n_coords) if idx.link(k) == link)
+                link: sum(s[k] for k, (i, j, _) in enumerate(entries) if (i, j) == link)
                 for link in MESH10_LINKS
             }
             for members in mesh10.interference_sets:

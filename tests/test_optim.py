@@ -77,8 +77,8 @@ def two_flow_chain():
         flows=flows,
     )
     spec = derive_interference_sets(spec)
-    idx = build_link_flow_index(spec)
-    return spec, idx, build_constraints(idx, spec)
+    entries = build_link_flow_index(spec)
+    return spec, entries, build_constraints(entries, spec)
 
 
 class TestWeightVector:
@@ -250,8 +250,8 @@ class TestFinalizeFeasible:
             NetworkSpec(positions=((0, 0), (0.1, 0), (0.5, 0), (0.6, 0)),
                         links=((0, 1), (2, 3)), flows=flows)
         )
-        idx = build_link_flow_index(spec)
-        cons = build_constraints(idx, spec)
+        entries = build_link_flow_index(spec)
+        cons = build_constraints(entries, spec)
         out = finalize_feasible(np.array([-0.2, 0.5]), cons)
         assert out.tolist() == [0.0, 0.5]
 
@@ -264,8 +264,8 @@ class TestFinalizeFeasible:
             NetworkSpec(positions=((0, 0), (0.1, 0), (0, 0.1)),
                         links=((0, 1), (0, 2)), flows=flows)
         )
-        idx = build_link_flow_index(spec)
-        cons = build_constraints(idx, spec)
+        entries = build_link_flow_index(spec)
+        cons = build_constraints(entries, spec)
         out = finalize_feasible(np.array([0.8, 0.6]), cons)
         assert out == pytest.approx([0.8 / 1.4, 0.6 / 1.4], rel=1e-15)
 
@@ -274,7 +274,7 @@ class TestFinalizeFeasible:
         for iseed in range(20):
             inst = random_instance(1000 + iseed)
             for _ in range(500):
-                raw = rng.uniform(-1.5, 3.0, inst.idx.n_coords)
+                raw = rng.uniform(-1.5, 3.0, inst.constraints.n_coords)
                 out = finalize_feasible(raw, inst.constraints)
                 assert inst.constraints.feasible(out, tol=1e-9)
                 assert (out >= 0).all() and (out <= 1.0 + 1e-12).all()
@@ -283,7 +283,7 @@ class TestFinalizeFeasible:
         rng = np.random.default_rng(32)
         inst = random_instance(5)
         for _ in range(200):
-            raw = rng.uniform(-1, 3, inst.idx.n_coords)
+            raw = rng.uniform(-1, 3, inst.constraints.n_coords)
             once = finalize_feasible(raw, inst.constraints)
             twice = finalize_feasible(once, inst.constraints)
             assert np.allclose(twice, once, rtol=0, atol=1e-12)
@@ -346,7 +346,7 @@ class TestFinalizeMatchesNumpyReference:
             params = OptParams(step_size=inst.step_size, cycles=50)
             solve_review_optimization(inst.weights, inst.constraints, params)
             for _ in range(5):
-                seen.append((rng.uniform(-1.5, 3.0, inst.idx.n_coords), inst.constraints))
+                seen.append((rng.uniform(-1.5, 3.0, inst.constraints.n_coords), inst.constraints))
         assert len(seen) == 1200
         rescaled = 0
         for s, cons in seen:
@@ -414,17 +414,17 @@ class TestCachedPlan:
         from drainsched.experiments import bundled_preset_config
 
         spec = bundled_preset_config().network
-        idx = build_link_flow_index(spec)
-        shared = build_constraints(idx, spec)
+        entries = build_link_flow_index(spec)
+        shared = build_constraints(entries, spec)
         rng = np.random.default_rng(3)
-        wv = WeightVector(w=rng.uniform(0, 50, idx.n_coords),
-                          mu=rng.uniform(0.5, 4.0, idx.n_coords))
+        wv = WeightVector(w=rng.uniform(0, 50, len(entries)),
+                          mu=rng.uniform(0.5, 4.0, len(entries)))
         got = {}
         for mode in ("coordinates", "links", "coordinates"):
             params = OptParams(divisor_mode=mode)
             s, diag = solve_review_optimization(wv, shared, params)
             fresh_s, fresh_diag = solve_review_optimization(
-                wv, build_constraints(idx, spec), params
+                wv, build_constraints(entries, spec), params
             )
             assert s.tobytes() == fresh_s.tobytes()
             assert diag == fresh_diag
@@ -434,11 +434,11 @@ class TestCachedPlan:
 
 class TestSolveReviewOptimization:
     def test_zero_weights_return_finalized_init(self):
-        _, idx, cons = two_flow_chain()
-        wv = WeightVector(w=np.zeros(idx.n_coords), mu=np.ones(idx.n_coords))
+        _, entries, cons = two_flow_chain()
+        wv = WeightVector(w=np.zeros(len(entries)), mu=np.ones(len(entries)))
         params = OptParams()
         s, diag = solve_review_optimization(wv, cons, params)
-        expected = finalize_feasible(np.ones(idx.n_coords), cons)
+        expected = finalize_feasible(np.ones(len(entries)), cons)
         assert np.array_equal(s, expected)
         assert diag.final_objective == 0.0
         assert diag.objective_trace == (0.0,) * params.cycles
@@ -453,8 +453,8 @@ class TestSolveReviewOptimization:
             NetworkSpec(positions=((0, 0), (0.1, 0), (0, 0.1), (0.1, 0.1)),
                         links=((0, 1), (0, 2), (0, 3)), flows=flows)
         )
-        idx = build_link_flow_index(spec)
-        cons = build_constraints(idx, spec)
+        entries = build_link_flow_index(spec)
+        cons = build_constraints(entries, spec)
         assert len(cons.halfspaces) == 1 and cons.halfspaces[0].members == (0, 1, 2)
         wv = WeightVector(w=np.array([5.0, 1.0, 1.0]), mu=np.ones(3))
         s, diag = solve_review_optimization(
@@ -481,7 +481,7 @@ class TestSolveReviewOptimization:
         s, diag = solve_review_optimization(inst.weights, inst.constraints, params)
         assert inst.constraints.feasible(s)
         assert len(diag.objective_trace) == 12
-        assert diag.handoff_messages == 12 * inst.idx.n_coords
+        assert diag.handoff_messages == 12 * inst.constraints.n_coords
 
     def test_divisor_mode_links_still_feasible(self):
         inst = random_instance(7)
@@ -715,8 +715,8 @@ class TestCycleKernel:
             assert_same_cycles(wv, cons, OptParams(step_size=1e-3, cycles=2, divisor_mode=mode))
 
     def test_sets_with_equal_plans_share_a_kernel(self):
-        spec, idx, cons = two_flow_chain()
-        other = build_constraints(idx, spec)
+        spec, entries, cons = two_flow_chain()
+        other = build_constraints(entries, spec)
         assert other is not cons and other.endpoint_plans == cons.endpoint_plans
         for mode in DIVISOR_MODES:
             assert cycle_kernel(other, mode) is cycle_kernel(cons, mode)
@@ -750,12 +750,12 @@ class TestCycleKernel:
             return run
 
         monkeypatch.setattr(optim, "_compiled", recording)
-        spec, idx, cons = two_flow_chain()
+        spec, entries, cons = two_flow_chain()
         plan = cons.endpoint_plans["coordinates"]
         wv = WeightVector(w=np.array([3.0, 1.0, 2.0, 4.0]), mu=np.ones(4))
         first, first_diag = solve_review_optimization(wv, cons, OptParams())
         assert generated == [plan] and ran == [plan]
-        for again in (cons, build_constraints(idx, spec), cons):
+        for again in (cons, build_constraints(entries, spec), cons):
             got, got_diag = solve_review_optimization(wv, again, OptParams())
             assert_same_bits(got, first)
             assert got_diag == first_diag

@@ -18,8 +18,8 @@ def star3():
         NetworkSpec(positions=((0, 0), (0.1, 0), (0, 0.1), (0.1, 0.1)),
                     links=((0, 1), (0, 2), (0, 3)), flows=flows)
     )
-    idx = build_link_flow_index(spec)
-    return idx, build_constraints(idx, spec)
+    entries = build_link_flow_index(spec)
+    return entries, build_constraints(entries, spec)
 
 
 def chain_overlap():
@@ -31,27 +31,27 @@ def chain_overlap():
         NetworkSpec(positions=((0, 0), (0.2, 0), (0.4, 0), (0.6, 0)),
                     links=((0, 1), (1, 2), (2, 3)), flows=flows)
     )
-    idx = build_link_flow_index(spec)
-    return idx, build_constraints(idx, spec)
+    entries = build_link_flow_index(spec)
+    return entries, build_constraints(entries, spec)
 
 
 class TestOracleSolve:
     def test_simplex_picks_best_vertex(self):
-        idx, cons = star3()
+        entries, cons = star3()
         wv = WeightVector(w=np.array([3.0, 2.0, 1.0]), mu=np.ones(3))
         s, value = oracle_solve(wv, cons)
         assert value == pytest.approx(3.0, abs=1e-12)
         assert s == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_zero_objective_returns_origin(self):
-        idx, cons = star3()
+        entries, cons = star3()
         wv = WeightVector(w=np.zeros(3), mu=np.ones(3))
         s, value = oracle_solve(wv, cons)
         assert value == 0.0
         assert np.array_equal(s, np.zeros(3))
 
     def test_overlapping_caps_middle_dominates(self):
-        idx, cons = chain_overlap()
+        entries, cons = chain_overlap()
         # caps are {0,1} and {1,2}: putting everything on the middle coordinate wins
         wv = WeightVector(w=np.array([1.0, 5.0, 1.0]), mu=np.ones(3))
         s, value = oracle_solve(wv, cons)
@@ -59,7 +59,7 @@ class TestOracleSolve:
         assert s == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_overlapping_caps_agrees_with_grid_search(self):
-        idx, cons = chain_overlap()
+        entries, cons = chain_overlap()
         wv = WeightVector(w=np.array([1.0, 5.0, 1.0]), mu=np.ones(3))
         _, value = oracle_solve(wv, cons)
         grid = np.arange(201) / 200.0
@@ -71,7 +71,7 @@ class TestOracleSolve:
         assert value == pytest.approx(best_grid, abs=1e-2)
 
     def test_size_guard(self):
-        idx, cons = star3()
+        entries, cons = star3()
         big = type(cons)(
             halfspaces=cons.halfspaces,
             endpoints=cons.endpoints,
@@ -93,7 +93,7 @@ class TestOracleSolve:
             assert value == pytest.approx(objective(s, inst.weights), abs=1e-9)
             for _ in range(50):
                 cand = finalize_feasible(
-                    rng.uniform(0, 1.2, inst.idx.n_coords), inst.constraints
+                    rng.uniform(0, 1.2, inst.constraints.n_coords), inst.constraints
                 )
                 assert objective(cand, inst.weights) <= value + 1e-9
 
