@@ -90,6 +90,8 @@ class RunParams:
             raise ConfigError(f"run.horizon_slots must be an integer, got {self.horizon_slots!r}")
         if self.horizon_slots < 0:
             raise ConfigError("run.horizon_slots must be >= 0")
+        # A numpy integer would give the same run another config digest.
+        object.__setattr__(self, "horizon_slots", int(self.horizon_slots))
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
         if not all(is_integer(s) and s >= 0 for s in self.seeds):

@@ -16,7 +16,7 @@ import numpy as np
 from .network import ConfigError, ConstraintSet, is_integer
 
 if TYPE_CHECKING:
-    from .engine import FlowMetrics
+    from .report import FlowMetrics
 
 QOS_KINDS = ("mean_delay", "hard_deadline")
 

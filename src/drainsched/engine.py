@@ -31,7 +31,7 @@ import math
 import operator
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,94 +40,10 @@ from .config import RunParams, SimConfig
 from .control import build_slot_schedule, next_review_time, update_qos_weights
 from .network import ConfigError, build_constraints, build_link_flow_index
 from .optim import WeightVector, solve_review_optimization
+from .report import FlowMetrics, MetricsReport, PeriodLog, PeriodRecord, Periods
 
 ARRIVAL_STREAM = 1  # seed-sequence domain tag, disjoint from the channel tag
-
-
-@dataclass
-class FlowMetrics:
-    """Destination-side statistics of one flow.
-
-    The engine accumulates created, delivered, late, delay_sum and the delay
-    histogram into one live record per flow; on_time, mean_delay and
-    drop_ratio are filled in the snapshots Simulation.report() returns.
-    """
-
-    created: int = 0
-    delivered: int = 0
-    on_time: int = 0
-    late: int = 0
-    delay_sum: int = 0
-    mean_delay: float | None = None
-    drop_ratio: float | None = None
-    histogram: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class PeriodRecord:
-    start: int
-    window: int
-    objective: float
-    objective_trace: tuple[float, ...]
-    c2: float
-    c3: float
-    handoff_messages: int
-    excess_broadcasts: int
-    theta: dict[int, float]
-    oracle_gap: float | None = None  # exact LP gap; no engine path fills it yet
-
-
-@dataclass
-class MetricsReport:
-    seed: int
-    horizon: int
-    flows: dict[int, FlowMetrics]
-    queue_avg: dict[tuple[int, int], float]
-    periods: list[PeriodRecord]
-    conservation_violations: int = 0
-    interference_violations: int = 0
-
-    def to_dict(self) -> dict:
-        # JSON object keys are strings; converting the int keys here keeps
-        # json.dump(sort_keys=True) ordering them as text.
-        return {
-            **vars(self),
-            "flows": {
-                str(fid): {**vars(fm), "histogram": _str_keys(fm.histogram)}
-                for fid, fm in self.flows.items()
-            },
-            "queue_avg": {f"{i}:{f}": v for (i, f), v in self.queue_avg.items()},
-            "periods": [{**vars(p), "theta": _str_keys(p.theta)} for p in self.periods],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(**{
-            **data,
-            "flows": {
-                int(fid): FlowMetrics(**{**fm, "histogram": _int_keys(fm["histogram"])})
-                for fid, fm in data["flows"].items()
-            },
-            "queue_avg": {
-                tuple(int(x) for x in key.split(":")): v for key, v in data["queue_avg"].items()
-            },
-            "periods": [
-                PeriodRecord(**{
-                    **p,
-                    "objective_trace": tuple(p["objective_trace"]),
-                    "theta": _int_keys(p["theta"]),
-                })
-                for p in data["periods"]
-            ],
-        })
-
-
-def _str_keys(d: dict) -> dict:
-    return {str(k): v for k, v in d.items()}
-
-
-def _int_keys(d: dict) -> dict:
-    return {int(k): v for k, v in d.items()}
+ARRIVAL_BLOCK = 4096  # slots of Poisson counts a stream draws at a time
 
 
 def _push(born: deque[int], count: deque[int], runs: Iterable[tuple[int, int]]) -> None:
@@ -139,6 +55,54 @@ def _push(born: deque[int], count: deque[int], runs: Iterable[tuple[int, int]]) 
         else:
             born.append(slot)
             count.append(n)
+
+
+class _Arrivals:
+    """Poisson arrival counts of every (source, destination) stream.
+
+    Each stream draws from one Generator on its own substream, ARRIVAL_BLOCK
+    slots at a time, and keeps one block at a time: slot t's count is the
+    t-th draw of the substream, the value one poisson(rate, horizon) call
+    gives it, whatever windows the slots are read in. All streams hold the
+    same block, so a window within it costs one slice per stream.
+    """
+
+    def __init__(self, streams: list[tuple[int, FlowMetrics, np.random.SeedSequence, float]],
+                 horizon: int):
+        self.streams = streams  # (queue index, flow record, substream, rate)
+        self._horizon = horizon
+        self._rngs: list[np.random.Generator] | None = None  # made at the first draw
+        self._index = -1  # the block held in _blocks
+        self._blocks: list[tuple[int, FlowMetrics, list[int]]] = []
+
+    def window(self, t: int, end: int) -> list[tuple[int, FlowMetrics, list[int]]]:
+        """(queue index, flow record, counts of slots t .. end - 1) per
+        stream; 0 <= t < end <= horizon."""
+        b, lo = divmod(t, ARRIVAL_BLOCK)
+        if b != self._index:
+            self._load(b)
+        hi = lo + end - t
+        out = [(qi, fm, block[lo:hi]) for qi, fm, block in self._blocks]
+        while hi > ARRIVAL_BLOCK:  # the window runs into the next block
+            self._load(self._index + 1)
+            hi -= ARRIVAL_BLOCK
+            for (_, _, counts), (_, _, block) in zip(out, self._blocks):
+                counts += block[:hi]
+        return out
+
+    def _load(self, b: int) -> None:
+        """Draw every stream's blocks up to b; going back to an earlier block
+        restarts the substreams (only a clock set back by hand does that)."""
+        if self._rngs is None or b < self._index:
+            self._rngs = [np.random.default_rng(seq) for _, _, seq, _ in self.streams]
+            self._index = -1
+        while self._index < b:
+            self._index += 1
+            size = min(ARRIVAL_BLOCK, self._horizon - self._index * ARRIVAL_BLOCK)
+            counts = [rng.poisson(rate, size) for rng, (*_, rate) in zip(self._rngs, self.streams)]
+        self._blocks = [
+            (qi, fm, block.tolist()) for (qi, fm, _, _), block in zip(self.streams, counts)
+        ]
 
 
 class Simulation:
@@ -193,22 +157,23 @@ class Simulation:
             default=1.0,
         )
 
-        # Pregenerated Poisson arrivals, one independent substream per
-        # (source, destination) arrival stream in sorted order, each kept with
-        # its queue and its flow's record.
-        self._streams: list[tuple[int, FlowMetrics, np.ndarray]] = []
-        for si, fl in enumerate(sorted(net.flows, key=lambda fl: (fl.source, fl.destination))):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(ARRIVAL_STREAM, si))
-            )
-            counts = (
-                rng.poisson(fl.arrival_rate, self.horizon)
-                if self.horizon and fl.arrival_rate > 0
-                else np.zeros(self.horizon, dtype=np.int64)
-            )
-            self._streams.append(
-                (qpos[(fl.source, fl.destination)], self._flows[fl.destination], counts)
-            )
+        # Poisson arrivals, one independent substream per (source,
+        # destination) arrival stream in sorted order, drawn block by block
+        # as the run reads them. A stream of rate 0 draws nothing.
+        flows = sorted(net.flows, key=lambda fl: (fl.source, fl.destination))
+        self._arrivals = _Arrivals(
+            [
+                (
+                    qpos[(fl.source, fl.destination)],
+                    self._flows[fl.destination],
+                    np.random.SeedSequence(entropy=self.seed, spawn_key=(ARRIVAL_STREAM, si)),
+                    fl.arrival_rate,
+                )
+                for si, fl in enumerate(flows)
+                if fl.arrival_rate > 0
+            ],
+            self.horizon,
+        )
 
         self._qbar = config.control.safety_stock_pkts
         self._fmu = [0] * len(entries)
@@ -216,7 +181,8 @@ class Simulation:
         self.t_prev = 0
         self.t_rev = 0
         self._slots: tuple[tuple[int, ...], ...] = ((),)
-        self.periods: list[PeriodRecord] = []
+        # One row per review, kept column by column.
+        self.periods = PeriodLog(config.optimizer.cycles, net.flow_ids)
         self.conservation_violations = 0
         self.interference_violations = 0
 
@@ -309,8 +275,12 @@ class Simulation:
         arrivals read from one slice per stream. A window whose next review
         lies in the past (t_rev < t, reachable only by setting the clock by
         hand) never reviews again; its slots past the end of the schedule are
-        idle.
+        idle. A stop past the horizon raises ValueError and changes nothing.
         """
+        if stop > self.horizon:
+            raise ValueError(
+                f"cannot run to slot {stop}: the horizon is {self.horizon} slots"
+            )
         t = self.t
         born = self._born
         count = self._count
@@ -336,7 +306,7 @@ class Simulation:
             off = t - self.t_prev
             acts = self._slots[off:off + end - t] if off >= 0 else ()
             acts += ((),) * (end - t - len(acts))  # past the schedule: idle
-            arrivals = [(qi, fm, counts[t:end].tolist()) for qi, fm, counts in self._streams]
+            arrivals = self._arrivals.window(t, end)
             for i, active in enumerate(acts):
                 for qi, fm, arr in arrivals:
                     n_new = arr[i]
@@ -458,7 +428,7 @@ class Simulation:
             horizon=self.horizon,
             flows=flows,
             queue_avg=queue_avg,
-            periods=list(self.periods),
+            periods=Periods(self.periods),
             conservation_violations=self.conservation_violations,
             interference_violations=self.interference_violations,
         )

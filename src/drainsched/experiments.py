@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -128,11 +129,11 @@ def _run_point(args) -> dict:
             "mean_delay": fm.mean_delay,
             "drop_ratio": fm.drop_ratio,
         }
-    mean_c3 = _mean([p.c3 for p in report.periods])
+    mean_c3 = _mean(report.periods.column("c3"))
     return {"label": label, "seed": seed, "flows": flows, "mean_gap_bound_c3": mean_c3}
 
 
-def _mean(values: list[float]) -> float | None:
+def _mean(values: Sequence[float]) -> float | None:
     """The mean of values summed left to right from 0.0, or None if empty.
 
     Builtin sum() is avoided: Python 3.12 made it compensated, which would
@@ -272,8 +273,9 @@ def export_metrics(report: MetricsReport, fmt: str, path) -> None:
 
     csv: the stable per-flow table (columns in METRICS_COLUMNS, rows in
     ascending flow id; an empty report yields only the header row).
-    json: the full report; re-importing with report_from_json gives back an
-    equal report.
+    json: the full report, streamed by MetricsReport.write_json (the bytes of
+    json.dump(report.to_dict(), sort_keys=True, indent=1) and a newline);
+    re-importing with report_from_json gives back an equal report.
     """
     path = Path(path)
     if fmt == "csv":
@@ -284,8 +286,7 @@ def export_metrics(report: MetricsReport, fmt: str, path) -> None:
         _write_csv(path, [], METRICS_COLUMNS, rows)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            report.write_json(fh)
     else:
         raise ValueError(f"unknown export format {fmt!r} (expected 'csv' or 'json')")
 

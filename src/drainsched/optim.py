@@ -89,6 +89,8 @@ class OptParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+            # A numpy integer would give the same solver another config digest.
+            object.__setattr__(self, name, int(value))
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if self.divisor_mode not in DIVISOR_MODES:

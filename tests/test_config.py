@@ -303,6 +303,29 @@ control:
         assert run.horizon_slots == 50
         assert run.seeds == (2,) and type(run.seeds[0]) is int
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("run", "horizon_slots", 300),
+        ("optimizer", "cycles", 8),
+        ("optimizer", "cycles", 3),
+        ("optimizer", "projection_repeats", 10),
+        ("optimizer", "projection_repeats", 4),
+    ])
+    @pytest.mark.parametrize("np_type", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_stored_as_int_and_digest_unchanged(
+        self, section, field, value, np_type
+    ):
+        # A numpy scalar kept as is serialised as its str(), so the same run
+        # had two config digests.
+        base = bundled_preset_config()
+
+        def with_value(v):
+            return replace(base, **{section: replace(getattr(base, section), **{field: v})})
+
+        cfg = with_value(np_type(value))
+        assert type(getattr(getattr(cfg, section), field)) is int
+        assert cfg.digest() == with_value(value).digest()
+        assert cfg == with_value(value)
+
     def test_fixed_gain_requires_fixed_model(self):
         doc = MINIMAL + "\nchannel: {fixed_gain: 1.0}\n"
         with pytest.raises(ConfigError, match="fixed_gain"):

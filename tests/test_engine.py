@@ -1,4 +1,8 @@
 import copy
+import gc
+import sys
+import tracemalloc
+import types
 from collections import deque
 from dataclasses import replace
 
@@ -101,6 +105,24 @@ def step_against_per_packet_reference(sim, forward, slots):
             assert packets(sim, qi) == list(ref[qi])
             assert sim._qlen[qi] == len(ref[qi])
     return stats
+
+
+def retained_bytes(*roots):
+    """sys.getsizeof summed over the objects reachable from roots, stopping at
+    modules, classes and functions (shared, not kept by a run)."""
+    shared = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+              types.MethodType, types.CodeType)
+    seen = set()
+    stack = list(roots)
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, shared):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
 
 
 def single_queue_oracle(lam, horizon, seed):
@@ -291,11 +313,16 @@ class TestRunSimulation:
     def test_single_queue_mean_delay_matches_independent_oracle(self):
         lam = 0.85
         cfg = single_link_config(rate=lam, gain=2.0, stock=0, horizon=200_000)
-        rep = run_simulation(cfg, seed=3)
+        sim = Simulation(cfg, seed=3)
+        rep = sim.run()
         oracle = single_queue_oracle(lam, 1_000_000, seed=424242)
         got = rep.flows[1].mean_delay
         assert got is not None
         assert abs(got - oracle) <= 0.10 * oracle
+        # ~171k reviews: the columnar period log keeps ~22 MB of them, where
+        # one record object per review kept ~121 MB.
+        assert len(rep.periods) > 150_000
+        assert retained_bytes(sim, rep) < 30 * 2**20
 
     def test_determinism_identical_reports(self):
         cfg = with_run(bundled_preset_config(), horizon_slots=3000)
@@ -521,3 +548,156 @@ class TestWindowLoop:
         if steps_before == 0:
             assert sum(sim._tx_cum) == sent == 0
             assert sum(fm.created for fm in report.flows.values()) == sum(sim._qlen) > 0
+
+
+def substream(seed, si):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(engine.ARRIVAL_STREAM, si))
+
+
+def one_shot(rate, horizon, seed=1, si=0):
+    """Stream si's counts as one poisson(rate, horizon) call draws them: the
+    arrivals the engine drew up front before it drew them block by block."""
+    return np.random.default_rng(substream(seed, si)).poisson(rate, horizon).tolist()
+
+
+def one_shot_arrivals(sim):
+    """one_shot of every stream of sim, by queue index."""
+    flows = sorted(sim.net.flows, key=lambda fl: (fl.source, fl.destination))
+    return {
+        sim._qkeys.index((fl.source, fl.destination)):
+            one_shot(fl.arrival_rate, sim.horizon, sim.seed, si)
+        for si, fl in enumerate(flows)
+    }
+
+
+class Stream:
+    """One stream of engine._Arrivals, read window by window."""
+
+    def __init__(self, rate, horizon, seed=1, si=0):
+        self.arrivals = engine._Arrivals(
+            [(0, engine.FlowMetrics(), substream(seed, si), rate)], horizon
+        )
+
+    def window(self, t, end):
+        [(_, _, counts)] = self.arrivals.window(t, end)
+        return counts
+
+
+class TestBlockArrivals:
+    """Arrivals drawn block by block must equal one poisson(rate, horizon)
+    call on the same substream, however the slots are read."""
+
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 3.0, 9.99, 10.0, 57.5, 400.0])
+    @pytest.mark.parametrize("chunk", [1, 7, 299, 4096])
+    def test_any_chunking_equals_one_call(self, rate, chunk):
+        horizon = 2 * engine.ARRIVAL_BLOCK + 1234  # not a multiple of the block
+        ref = one_shot(rate, horizon)
+        st = Stream(rate, horizon)
+        got = []
+        for t in range(0, horizon, chunk):
+            got += st.window(t, min(t + chunk, horizon))
+        assert got == ref
+
+    def test_windows_across_block_edges(self):
+        horizon = 3 * engine.ARRIVAL_BLOCK - 5
+        ref = one_shot(2.5, horizon, seed=4)
+        st = Stream(2.5, horizon, seed=4)
+        edge = engine.ARRIVAL_BLOCK
+        for t, end in [(edge - 3, edge + 4), (edge + 4, 2 * edge + 1),
+                       (2 * edge + 1, horizon), (5, 2 * edge + 9), (0, horizon)]:
+            assert st.window(t, end) == ref[t:end]
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_mesh_run_and_step_loop_draw_the_one_shot_counts(self, monkeypatch, block):
+        monkeypatch.setattr(engine, "ARRIVAL_BLOCK", block)
+        horizon = 1500
+        by_step = Simulation(bundled_preset_config(), seed=2, horizon=horizon)
+        ref = one_shot_arrivals(by_step)
+        assert len(ref) == 5
+        for t in range(horizon):
+            before = list(by_step._arr_cum)
+            by_step.step()
+            for qi, counts in ref.items():
+                assert by_step._arr_cum[qi] - before[qi] == counts[t]
+        by_run = Simulation(bundled_preset_config(), seed=2, horizon=horizon)
+        assert by_run.run() == by_step.report()
+        assert by_run._arr_cum == by_step._arr_cum
+
+    def test_clock_set_by_hand_reads_the_same_counts(self):
+        sim = Simulation(bundled_preset_config(), seed=3, horizon=3 * engine.ARRIVAL_BLOCK)
+        ref = one_shot_arrivals(sim)
+        # forward into a later block, then back into the first
+        for t in (2 * engine.ARRIVAL_BLOCK + 17, engine.ARRIVAL_BLOCK - 1, 281):
+            sim.t = t
+            before = list(sim._arr_cum)
+            sim.step()
+            for qi, counts in ref.items():
+                assert sim._arr_cum[qi] - before[qi] == counts[t]
+
+    def test_rate_zero_and_horizon_zero_draw_nothing(self):
+        sim = Simulation(single_link_config(rate=0.0, horizon=50), seed=1)
+        assert sim._arrivals.streams == []
+        assert sim.run().flows[1].created == 0
+        sim = Simulation(bundled_preset_config(), seed=1, horizon=0)
+        assert len(sim._arrivals.streams) == 5
+        sim.run()
+        assert sim._arrivals._rngs is None
+
+
+class TestHorizon:
+    def test_step_past_the_horizon_raises_and_changes_nothing(self, tmp_path):
+        sim = Simulation(bundled_preset_config(), seed=1, horizon=13)
+        report = sim.run()
+        state = (sim.t, sim.t_prev, sim.t_rev, len(sim.periods), list(sim._qlen))
+        with pytest.raises(ValueError, match="horizon is 13 slots"):
+            sim.step()
+        with pytest.raises(ValueError, match="horizon is 13 slots"):
+            sim._advance(20)
+        assert (sim.t, sim.t_prev, sim.t_rev, len(sim.periods), list(sim._qlen)) == state
+        assert export_bytes(sim.report(), tmp_path / "a.json") == \
+            export_bytes(report, tmp_path / "b.json")
+
+    def test_step_past_a_hand_set_clock_raises(self):
+        sim = Simulation(single_link_config(rate=0.0, horizon=10), seed=1)
+        sim.t = sim.t_rev = 10
+        with pytest.raises(ValueError, match="horizon"):
+            sim.step()
+        assert len(sim.periods) == 0
+
+
+class TestMemoryBound:
+    def test_mesh_run_keeps_at_most_a_fifth_of_a_kilobyte_per_review(self):
+        # Traced from construction on, so a column's reallocation counts only
+        # its growth; a full collection at each end empties the interpreter's
+        # free lists, which hold tens of KB at any moment.
+        tracemalloc.start()
+        try:
+            sim = Simulation(bundled_preset_config(), seed=1, horizon=3000)
+            sim._advance(1500)
+            gc.collect()
+            before, reviews = tracemalloc.get_traced_memory()[0], len(sim.periods)
+            sim._advance(3000)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        reviews = len(sim.periods) - reviews
+        assert reviews > 200
+        assert grown / reviews <= 0.2 * 1024
+
+    def test_init_does_not_grow_with_the_horizon(self):
+        cfg = bundled_preset_config()
+        peaks = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for horizon in (10**4, 10**6):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sim = Simulation(cfg, seed=1, horizon=horizon)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del sim
+                gc.collect()
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
