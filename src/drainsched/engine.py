@@ -418,10 +418,11 @@ class Simulation:
             )
             for fid, fm in self._flows.items()
         }
+        # Averaged over the slots run so far; before the first slot every sum
+        # is 0 and the horizon stands in.
+        slots = self.t or self.horizon
         queue_avg = (
-            {key: self._qsum[qi] / self.horizon for qi, key in enumerate(self._qkeys)}
-            if self.horizon
-            else {}
+            {key: self._qsum[qi] / slots for qi, key in enumerate(self._qkeys)} if slots else {}
         )
         return MetricsReport(
             seed=self.seed,

@@ -128,6 +128,20 @@ class PeriodLog:
             raise ValueError(f"{name}: {exc}") from None
         self._n = n + 1
 
+    def same_rows(self, other: "PeriodLog", n: int) -> bool:
+        """Whether the first n rows of the two logs hold equal records, two
+        NaNs in the same cell counting as equal."""
+        if not n:
+            return True
+        if self.stride != other.stride or self.theta.keys() != other.theta.keys():
+            return False
+        k = n * self.stride
+        return (
+            all(_same(col[:n], other.columns[name][:n]) for name, col in self.columns.items())
+            and _same(self.trace[:k], other.trace[:k])
+            and all(_same(col[:n], other.theta[fid][:n]) for fid, col in self.theta.items())
+        )
+
     def record(self, i: int) -> PeriodRecord:
         k = self.stride
         return PeriodRecord(
@@ -137,12 +151,20 @@ class PeriodLog:
         )
 
 
+def _same(a: array, b: array) -> bool:
+    """Equal columns, two NaNs in the same cell counting as equal."""
+    return a == b or (
+        len(a) == len(b) and all(x == y or (x != x and y != y) for x, y in zip(a, b))
+    )
+
+
 class Periods(Sequence):
     """Read-only view of the rows a PeriodLog holds when the view is made, as
     a sequence of PeriodRecords.
 
     Rows appended to the log later are not part of it. It equals any sequence
-    of equal PeriodRecords in the same order, a list included.
+    of equal PeriodRecords in the same order, a list included; equality
+    compares the columns, so a NaN field equals a NaN in the same place.
     """
 
     __slots__ = ("_log", "_n")
@@ -170,7 +192,12 @@ class Periods(Sequence):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        if not isinstance(other, Periods):
+            try:
+                other = Periods(PeriodLog.of(other))
+            except (AttributeError, TypeError, ValueError):  # not records a log can hold
+                return False
+        return self._n == other._n and self._log.same_rows(other._log, self._n)
 
     __hash__ = None
 

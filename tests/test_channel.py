@@ -1,5 +1,8 @@
+import gc
 import math
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +230,121 @@ class TestMatchesNumpyReference:
         assert net.squared_lengths == (0.25, 0.25, 0.25)
         with pytest.raises(TypeError):
             net.squared_lengths[0] = 1.0
+
+
+def reference_exponentials(seed, period, n):
+    """The period's channel substream as numpy builds it; the bitwise reference."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(CHANNEL_STREAM, period))
+    )
+    return rng.standard_exponential(n).tobytes()
+
+
+def derived_exponentials(seed, period, n):
+    return np.array(channel._exponentials(seed, period, n), dtype=float).tobytes()
+
+
+BLOCK = channel._BLOCK
+# Seeds of one to five uint32 words.
+WORD_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 5)
+# Periods of one to three spawn-key words: both sides of each of the first
+# three block edges, and both sides of 2**32 and 2**64.
+EDGE_PERIODS = (
+    0, 1, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 3 * BLOCK - 1, 3 * BLOCK,
+    2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64,
+)
+
+
+class TestSubstreamDerivation:
+    """The block derivation equals numpy's SeedSequence + PCG64 seeding bit for
+    bit. These fail first if a numpy release changes either."""
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_matches_numpy_on_every_word_count(self, seed):
+        for period in EDGE_PERIODS:
+            assert derived_exponentials(seed, period, 20) == reference_exponentials(
+                seed, period, 20
+            ), (seed, period)
+
+    def test_every_period_of_the_first_blocks(self):
+        for period in range(3 * BLOCK + 1):
+            assert derived_exponentials(12345, period, 3) == reference_exponentials(
+                12345, period, 3
+            ), period
+
+    def test_seed_stepped_back_to_an_earlier_block(self):
+        # Later blocks evict the earlier ones from the two-block cache, so
+        # going back derives them again.
+        periods = (5 * BLOCK + 3, 2 * BLOCK + 1, 9 * BLOCK, 5 * BLOCK + 3, 1, 2 * BLOCK + 1)
+        for seed in (7, 2**64 + 3):
+            for period in periods:
+                assert derived_exponentials(seed, period, 8) == reference_exponentials(
+                    seed, period, 8
+                ), (seed, period)
+                assert len(channel._blocks) <= 2
+
+    def test_numpy_integers_accepted(self):
+        net = parallel_links_net(3)
+        for seed, period in ((np.int64(5), np.uint32(9)), (np.uint64(2**64 - 1), np.int8(0))):
+            assert bits(draw_gains(net, period, seed)) == bits(
+                draw_gains(net, int(period), int(seed))
+            ) == bits(numpy_draw_gains(net, period, seed))
+
+    @pytest.mark.parametrize("seed, period, name", [(-1, 0, "seed"), (0, -1, "period"),
+                                                    (-(2**70), 3, "seed")])
+    def test_negative_seed_or_period_named(self, seed, period, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            draw_gains(parallel_links_net(2), period, seed)
+
+    @pytest.mark.parametrize("seed, period, name", [(1.0, 0, "seed"), (1, 2.0, "period"),
+                                                    (np.float64(3), 0, "seed"),
+                                                    (1, math.nan, "period")])
+    def test_non_integer_seed_or_period_is_type_error(self, seed, period, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            draw_gains(parallel_links_net(2), period, seed)
+
+    def test_cache_keeps_at_most_32_kb_after_a_mesh10_run(self):
+        from drainsched.engine import run_simulation
+        from drainsched.experiments import bundled_preset_config
+
+        channel._blocks.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_simulation(bundled_preset_config(), horizon=3000, seed=1)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, channel.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        retained = sum(stat.size for stat in snapshot.statistics("filename"))
+        # The run's ~430 reviews span two blocks of _BLOCK rows of 4 uint64 each.
+        assert 2 * BLOCK * 32 <= retained <= 32 * 1024
+
+    def test_threads_drawing_for_different_seeds(self):
+        # More threads than cores and seeds than cached blocks, switching
+        # often: a draw whose state another thread overwrote, or a row read
+        # from an evicted block, breaks equality with the reference.
+        seeds = (11, 2**64 + 3, 12345)
+        results = {seed: [] for seed in seeds}
+        start = threading.Barrier(len(seeds))
+
+        def draw(seed):
+            start.wait()
+            for period in range(300):
+                results[seed].append(derived_exponentials(seed, period, 20))
+
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert results[seed] == [reference_exponentials(seed, p, 20) for p in range(300)]

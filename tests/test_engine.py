@@ -443,6 +443,16 @@ class TestReportSnapshot:
         assert len(later.periods) > len(first.periods)
         assert later.flows != first.flows
 
+    def test_mid_run_queue_avg_is_over_the_slots_run(self):
+        sim = Simulation(bundled_preset_config(), seed=2, horizon=600)
+        assert set(sim.report().queue_avg.values()) == {0.0}  # before the first slot
+        sim._advance(300)
+        mid = sim.report().queue_avg
+        full = run_simulation(bundled_preset_config(), seed=2, horizon=300).queue_avg
+        assert mid == full
+        assert sum(mid.values()) == pytest.approx(400.50, abs=0.01)
+        assert Simulation(bundled_preset_config(), seed=2, horizon=0).report().queue_avg == {}
+
 
 class TestReportSerialization:
     def test_roundtrip_equality(self):

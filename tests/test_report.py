@@ -187,3 +187,29 @@ class TestPeriodsView:
         assert kept == rep and kept.periods == list(rep.periods)
         assert report(periods=[]).periods == []
         assert report(periods=[record()]) != report(periods=[record(start=1)])
+
+    def test_nan_fields_equal_their_deepcopy(self):
+        recs = [
+            record(start=0, c3=math.nan),
+            record(start=1, trace=(math.nan, 2.0)),
+            record(start=2, theta={7: math.nan, 8: 2.0}, objective=math.nan),
+        ]
+        rep = report(periods=recs)
+        kept = copy.deepcopy(rep)
+        assert kept == rep and kept.periods == rep.periods
+        assert rep.periods == [copy.deepcopy(r) for r in recs]
+
+    @pytest.mark.parametrize("other", [
+        [record(start=0, c3=math.nan), record(start=1, c3=1.0)],  # a number, not NaN
+        [record(start=0, c3=1e-7), record(start=1, c3=math.nan)],  # NaN in another row
+        [record(start=0, c3=math.nan), record(start=1, c3=math.nan, trace=(1.0, 3.0))],
+        [record(start=0, c3=math.nan), record(start=1, c3=math.nan, theta={7: 1.0, 9: 2.0})],
+        [record(start=0, c3=math.nan, trace=(1.0,)), record(start=1, c3=math.nan, trace=(2.0,))],
+        [record(start=0, c3=math.nan)],
+        [record(start=0, c3=math.nan), record(start=1, c3=math.nan, oracle_gap=0.5)],
+        [1, 2],
+        "ab",
+    ])
+    def test_unequal_periods(self, other):
+        view = report(periods=[record(start=0, c3=math.nan), record(start=1, c3=math.nan)]).periods
+        assert view != other and not view == other
