@@ -21,12 +21,11 @@ numpy's bit for bit; tests/test_channel.py compares the two.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 
 import numpy as np
 
-from .network import ConfigError, Link, NetworkSpec
+from .network import ConfigError, Link, NetworkSpec, is_integer
 
 CHANNEL_STREAM = 0  # seed-sequence domain tag for channel draws
 
@@ -128,10 +127,9 @@ def _derive_block(seed: int, block: int) -> np.ndarray:
 
 
 def _nonnegative_int(value, name: str) -> int:
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    n = int(value)
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
     return n
@@ -178,7 +176,7 @@ def draw_gains(
     always returns the same gains, and different periods use independent
     substreams regardless of how many periods were drawn before. seed and
     period are non-negative integers: a negative one raises ValueError and a
-    non-integer TypeError.
+    non-integer, bool included, TypeError.
     """
     if not 0 < scale_constant < math.inf:
         raise ConfigError(f"channel scale constant must be finite and > 0, got {scale_constant}")

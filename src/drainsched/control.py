@@ -68,14 +68,20 @@ def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 
     """Next review slot: t + max(1, round(a1 * ln(1 + a2 * total backlog))).
 
     The period length grows logarithmically with the backlog; the floor of
-    one slot keeps the clock moving when the network is empty.
+    one slot keeps the clock moving when the network is empty. A length
+    that overflows a float is a ConfigError naming control.a1 and control.a2.
     """
     if not 0 <= total_backlog < math.inf:
         raise ValueError(f"total backlog must be finite and >= 0, got {total_backlog}")
     if not (0 < a1 < math.inf and 0 < a2 < math.inf):
         raise ValueError(f"review constants a1 and a2 must be finite and > 0, got {a1}, {a2}")
-    length = int(math.floor(a1 * math.log1p(a2 * total_backlog) + 0.5))
-    return t + max(1, length)
+    length = a1 * math.log1p(a2 * total_backlog)
+    if length == math.inf:
+        raise ConfigError(
+            f"control.a1/control.a2: review window a1 * ln(1 + a2 * backlog) is not finite "
+            f"(a1={a1!r}, a2={a2!r}, backlog {total_backlog!r})"
+        )
+    return t + max(1, int(math.floor(length + 0.5)))
 
 
 def update_qos_weights(

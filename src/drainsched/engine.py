@@ -19,9 +19,9 @@ the window then run in a plain loop. run() calls step() on each review slot
 and _advance for the rest of that window; step() is _advance over one slot.
 
 With invariant checking enabled the engine verifies, every slot, the exact
-queue bookkeeping identity (arrivals + receptions - transmissions), the
-global packet-count identity, and interference exclusivity of the links that
-actually transmitted.
+queue bookkeeping identity (arrivals + receptions - transmissions), that each
+queue's bucket counts sum to its length, the global packet-count identity,
+and interference exclusivity of the links that actually transmitted.
 """
 
 from __future__ import annotations
@@ -395,6 +395,9 @@ class Simulation:
                 if check:
                     for qi in range(len(qlen)):
                         if qlen[qi] != arr_cum[qi] + rx_cum[qi] - tx_cum[qi]:
+                            self.conservation_violations += 1
+                        # qlen moves with its counters, so only this sees the buckets.
+                        if sum(count[qi]) != qlen[qi]:
                             self.conservation_violations += 1
                     created = sum(fm.created for fm in flows.values())
                     delivered = sum(fm.delivered for fm in flows.values())

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .config import RunParams, SimConfig, parse_config, with_optimizer, with_qos
 from .control import QosSpec
 from .engine import MetricsReport, run_simulation
 from .network import ConfigError
+from .report import FlowMetrics
 
 PRESET_NAMES = ("fig3b-sweep", "table1", "table2", "custom")
 
@@ -57,6 +59,9 @@ SUMMARY_COLUMNS = (
 METRICS_COLUMNS = (
     "flow", "created", "delivered", "on_time", "late", "mean_delay_slots", "drop_ratio",
 )
+# The per-flow statistics of every table, in column order.
+FLOW_STATS = ("created", "delivered", "on_time", "late", "mean_delay", "drop_ratio")
+_flow_stats = operator.attrgetter(*FLOW_STATS)
 
 
 def bundled_preset_config() -> SimConfig:
@@ -116,21 +121,10 @@ def build_grid(preset: str, base: SimConfig | None = None) -> tuple[GridPoint, .
     return tuple(points)
 
 
-def _run_point(args) -> dict:
-    label, config, seed, horizon = args
+def _run_point(job) -> tuple[dict[int, FlowMetrics], float | None]:
+    config, seed, horizon = job
     report = run_simulation(config, horizon=horizon, seed=seed)
-    flows = {}
-    for fid, fm in sorted(report.flows.items()):
-        flows[fid] = {
-            "created": fm.created,
-            "delivered": fm.delivered,
-            "on_time": fm.on_time,
-            "late": fm.late,
-            "mean_delay": fm.mean_delay,
-            "drop_ratio": fm.drop_ratio,
-        }
-    mean_c3 = _mean(report.periods.column("c3"))
-    return {"label": label, "seed": seed, "flows": flows, "mean_gap_bound_c3": mean_c3}
+    return report.flows, _mean(report.periods.column("c3"))
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -177,14 +171,19 @@ def run_experiment(
 
     Writes <preset>_runs.csv (one row per grid point, seed, and flow),
     <preset>_summary.csv (seed-averaged), and <preset>_summary.json.
-    Returns the process exit status (0 on completion). Raises ConfigError
-    when workers is below 1 or seeds breaks RunParams' rule (an empty list,
-    or a seed that is not a nonnegative integer).
+    Returns the process exit status (0 on completion). Raises ConfigError,
+    before anything is written, when workers is below 1 or seeds or horizon
+    break RunParams' rule (an empty seed list, or a seed or horizon that is
+    not a nonnegative integer).
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     grid = build_grid(preset, config)
-    seeds = RunParams(seeds=tuple(seeds if seeds is not None else DEFAULT_SEEDS)).seeds
+    run = RunParams(
+        horizon_slots=grid[0].config.run.horizon_slots if horizon is None else horizon,
+        seeds=tuple(seeds if seeds is not None else DEFAULT_SEEDS),
+    )
+    seeds, horizon = run.seeds, run.horizon_slots
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -192,54 +191,42 @@ def run_experiment(
         print(f"cannot create output directory {out}: {exc}")
         return 2
 
-    jobs = [(point.label, point.config, seed, horizon) for point in grid for seed in seeds]
-    # Both maps yield results in job order.
+    # Jobs run grid point by grid point, seed by seed; both maps keep that order.
+    jobs = [(point.config, seed, horizon) for point in grid for seed in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_point, jobs))
+            results = list(pool.map(_run_point, jobs))
     else:
-        records = list(map(_run_point, jobs))
+        results = list(map(_run_point, jobs))
 
-    digest = grid[0].config.digest() if grid else ""
-    eff_horizon = horizon if horizon is not None else grid[0].config.run.horizon_slots
+    digest = grid[0].config.digest()
     header = [
         f"preset: {preset}",
         f"config_digest: {digest}",
         f"seeds: {','.join(str(s) for s in seeds)}",
-        f"horizon_slots: {eff_horizon}",
+        f"horizon_slots: {horizon}",
     ]
-
-    run_rows = []
-    for rec in records:
-        c3 = rec["mean_gap_bound_c3"]
-        for fid, fm in sorted(rec["flows"].items()):
-            run_rows.append(
-                (
-                    preset, rec["label"], rec["seed"], fid, fm["created"], fm["delivered"],
-                    fm["on_time"], fm["late"], fm["mean_delay"], fm["drop_ratio"], c3,
-                )
-            )
-
-    agg: dict[tuple[str, int], list[dict]] = {}
-    for rec in records:
-        for fid, fm in rec["flows"].items():
-            agg.setdefault((rec["label"], fid), []).append(fm)
-    summary_rows = []
-    for point in grid:
-        fids = sorted(fid for (label, fid) in agg if label == point.label)
-        for fid in fids:
-            group = agg[(point.label, fid)]
-            delays = [g["mean_delay"] for g in group if g["mean_delay"] is not None]
-            drops = [g["drop_ratio"] for g in group if g["drop_ratio"] is not None]
-            summary_rows.append(
-                (
-                    preset, point.label, fid, len(group),
-                    _mean(delays),
-                    _mean(drops),
-                    min(delays) if delays else None,
-                    max(delays) if delays else None,
-                )
-            )
+    run_rows, summary_rows, runs = [], [], []
+    for gi, point in enumerate(grid):
+        point_runs = results[gi * len(seeds):(gi + 1) * len(seeds)]
+        for seed, (flows, c3) in zip(seeds, point_runs):
+            stats = {fid: _flow_stats(fm) for fid, fm in sorted(flows.items())}
+            run_rows += [(preset, point.label, seed, fid, *row, c3) for fid, row in stats.items()]
+            runs.append({
+                "label": point.label,
+                "seed": seed,
+                "mean_gap_bound_c3": c3,
+                "flows": {str(fid): dict(zip(FLOW_STATS, row)) for fid, row in stats.items()},
+            })
+        # Every run of a grid point reports the same flows.
+        for fid in sorted(point_runs[0][0]):
+            group = [flows[fid] for flows, _ in point_runs]
+            delays = [fm.mean_delay for fm in group if fm.mean_delay is not None]
+            drops = [fm.drop_ratio for fm in group if fm.drop_ratio is not None]
+            summary_rows.append((
+                preset, point.label, fid, len(group), _mean(delays), _mean(drops),
+                min(delays, default=None), max(delays, default=None),
+            ))
 
     try:
         _write_csv(out / f"{preset}_runs.csv", header, RUNS_COLUMNS, run_rows)
@@ -248,16 +235,8 @@ def run_experiment(
             "preset": preset,
             "config_digest": digest,
             "seeds": list(seeds),
-            "horizon_slots": eff_horizon,
-            "runs": [
-                {
-                    "label": rec["label"],
-                    "seed": rec["seed"],
-                    "mean_gap_bound_c3": rec["mean_gap_bound_c3"],
-                    "flows": {str(fid): fm for fid, fm in sorted(rec["flows"].items())},
-                }
-                for rec in records
-            ],
+            "horizon_slots": horizon,
+            "runs": runs,
         }
         with open(out / f"{preset}_summary.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
@@ -279,10 +258,7 @@ def export_metrics(report: MetricsReport, fmt: str, path) -> None:
     """
     path = Path(path)
     if fmt == "csv":
-        rows = [
-            (fid, fm.created, fm.delivered, fm.on_time, fm.late, fm.mean_delay, fm.drop_ratio)
-            for fid, fm in sorted(report.flows.items())
-        ]
+        rows = [(fid, *_flow_stats(fm)) for fid, fm in sorted(report.flows.items())]
         _write_csv(path, [], METRICS_COLUMNS, rows)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:

@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 
 Link = tuple[int, int]
 
+# The largest rate numpy's Poisson sampler accepts: int64 max - 10 sqrt(int64 max).
+_MAX_ARRIVAL_RATE = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
@@ -135,6 +138,11 @@ class NetworkSpec:
             if not 0 <= fl.arrival_rate < math.inf:
                 raise ConfigError(
                     f"network.flows[{fi}]: arrival rate must be >= 0, got {fl.arrival_rate}"
+                )
+            if fl.arrival_rate > _MAX_ARRIVAL_RATE:
+                raise ConfigError(
+                    f"network.flows[{fi}]: arrival rate must be <= {_MAX_ARRIVAL_RATE!r} "
+                    f"(numpy's Poisson limit), got {fl.arrival_rate!r}"
                 )
             if not (0 <= fl.source < n and 0 <= fl.destination < n):
                 raise ConfigError(f"network.flows[{fi}]: source/destination out of range")

@@ -298,7 +298,9 @@ class TestSubstreamDerivation:
 
     @pytest.mark.parametrize("seed, period, name", [(1.0, 0, "seed"), (1, 2.0, "period"),
                                                     (np.float64(3), 0, "seed"),
-                                                    (1, math.nan, "period")])
+                                                    (1, math.nan, "period"),
+                                                    (True, 1, "seed"), (1, True, "period"),
+                                                    (False, 0, "seed")])
     def test_non_integer_seed_or_period_is_type_error(self, seed, period, name):
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             draw_gains(parallel_links_net(2), period, seed)

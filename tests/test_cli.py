@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -113,6 +114,16 @@ class TestRunCommand:
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
         assert "config error: network.links[0]: nodes 0 and 1 are" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["a1", "a2"])
+    def test_overflowing_review_window_is_config_error(self, tmp_path, capsys, key):
+        # The bundled mesh's backlog at its second review makes the window inf.
+        text = resources.files("drainsched.presets").joinpath("mesh10.yaml").read_text()
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace(f"  {key}: 1.0\n", f"  {key}: 1.0e+308\n"))
+        status = main(["run", "--config", str(bad), "--out", str(tmp_path), "--horizon", "50"])
+        assert status == 1
+        assert "config error: control.a1/control.a2: review window" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code_2(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),

@@ -60,6 +60,19 @@ class TestNextReviewTime:
         with pytest.raises(ValueError, match=message):
             next_review_time(0, backlog, a1, a2)
 
+    @pytest.mark.parametrize("backlog, a1, a2", [
+        (10.0, 1.0e308, 1.0),
+        (2.0, 1.0, 1.0e308),
+        (1.0e300, 1.0e308, 1.0e308),
+    ])
+    def test_window_that_overflows_is_config_error(self, backlog, a1, a2):
+        with pytest.raises(ConfigError, match=r"^control\.a1/control\.a2: review window"):
+            next_review_time(0, backlog, a1, a2)
+
+    def test_largest_finite_window_is_returned(self):
+        # a1 * ln(1 + e - 1) = a1: finite, however large.
+        assert next_review_time(0, math.e - 1.0, 1.0e308, 1.0) > 10**307
+
 
 class TestQosSpec:
     def test_mean_delay_requires_target(self):

@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import sys
 import tracemalloc
 import types
@@ -274,6 +275,20 @@ class TestBucketQueues:
         assert list(zip(sim._born[1], sim._count[1])) == [(0, 2)]
         sim.step()
         assert sim.report().flows[2].delivered == 3
+
+    def test_checked_step_counts_buckets_that_disagree_with_qlen(self):
+        # The counter identity cannot see a bucket fault: qlen moves with the
+        # counters. Two packets leave per slot; one bucket count is corrupted.
+        cfg = single_link_config(rate=0.0, gain=8.0, stock=0, horizon=20)
+        sim = Simulation(cfg, seed=1, check_invariants=True)
+        sim.inject(0, 1, [0] * 5)
+        sim.step()
+        assert sim.conservation_violations == 0
+        sim._count[0][0] += 1
+        sim.step()
+        assert sim.conservation_violations == 1
+        sim.step()
+        assert sim.conservation_violations == 2
 
     def test_overloaded_mesh_holds_buckets_not_packets(self):
         # Arrivals x3 exceed capacity: the backlog grows with every slot, but
@@ -643,6 +658,19 @@ class TestBlockArrivals:
             sim.step()
             for qi, counts in ref.items():
                 assert sim._arr_cum[qi] - before[qi] == counts[t]
+
+    def test_rate_at_numpy_poisson_limit_draws_and_the_next_is_rejected(self):
+        # numpy's poisson rejects lam above int64 max - 10 sqrt(int64 max); a
+        # rate past it is a load-time error, not a failure at the first block.
+        limit = 9.223372006484771e18
+        sim = Simulation(single_link_config(rate=limit, horizon=2), seed=1)
+        sim.step()
+        assert sim.report().flows[1].created > 0.99 * limit
+        over = math.nextafter(limit, math.inf)
+        with pytest.raises(ConfigError, match=r"^network\.flows\[0\]: arrival rate must be <="):
+            single_link_config(rate=over)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(1).poisson(over)
 
     def test_rate_zero_and_horizon_zero_draw_nothing(self):
         sim = Simulation(single_link_config(rate=0.0, horizon=50), seed=1)

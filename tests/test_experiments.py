@@ -83,20 +83,36 @@ class TestRunExperiment:
         assert "# preset: custom" in text
 
     def test_workers_do_not_change_output(self, tmp_path):
-        cfg = parse_config(SMALL_YAML)
-        out1 = tmp_path / "serial"
-        out2 = tmp_path / "parallel"
-        run_experiment("custom", out1, seeds=(1, 2, 3), horizon=200, config=cfg)
-        run_experiment("custom", out2, seeds=(1, 2, 3), horizon=200, config=cfg,
-                       workers=2)
-        assert (out1 / "custom_runs.csv").read_bytes() == (out2 / "custom_runs.csv").read_bytes()
+        # Every file, for one grid point and for six (table2): results cross
+        # the process pool and are grouped by grid point.
+        for preset, seeds, horizon, cfg in [("custom", (1, 2, 3), 200, parse_config(SMALL_YAML)),
+                                            ("table2", (1, 2), 300, None)]:
+            for workers in (1, 2):
+                out = tmp_path / f"{preset}-{workers}"
+                assert run_experiment(preset, out, seeds=seeds, horizon=horizon,
+                                      workers=workers, config=cfg) == 0
+            for name in ("runs.csv", "summary.csv", "summary.json"):
+                serial = (tmp_path / f"{preset}-1" / f"{preset}_{name}").read_bytes()
+                assert serial == (tmp_path / f"{preset}-2" / f"{preset}_{name}").read_bytes()
 
-    @pytest.mark.parametrize("seeds", [[2.5], [True], [], [-1]])
-    def test_seeds_checked_with_run_params_rule(self, tmp_path, seeds):
+    # The ids of the seed cases are those pytest gave them before the
+    # horizon cases were added.
+    @pytest.mark.parametrize("seeds, horizon, key", [
+        pytest.param([2.5], 50, "run.seeds", id="seeds0"),
+        pytest.param([True], 50, "run.seeds", id="seeds1"),
+        pytest.param([], 50, "run.seeds", id="seeds2"),
+        pytest.param([-1], 50, "run.seeds", id="seeds3"),
+        pytest.param([1], -5, "run.horizon_slots", id="horizon-negative"),
+        pytest.param([1], 2.5, "run.horizon_slots", id="horizon-float"),
+        pytest.param([1], True, "run.horizon_slots", id="horizon-bool"),
+    ])
+    def test_seeds_checked_with_run_params_rule(self, tmp_path, seeds, horizon, key):
+        # Checked before the output directory is made.
         cfg = parse_config(SMALL_YAML)
-        with pytest.raises(ConfigError, match="run.seeds"):
-            run_experiment("custom", tmp_path, seeds=seeds, horizon=50, config=cfg)
-        assert not any(tmp_path.iterdir())
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=key):
+            run_experiment("custom", out, seeds=seeds, horizon=horizon, config=cfg)
+        assert not out.exists()
 
     def test_fig3b_sweep_rows_match_axis(self, tmp_path):
         status = run_experiment("fig3b-sweep", tmp_path, seeds=(1,), horizon=300)
