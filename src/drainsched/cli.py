@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import load_config
+from .config import RunParams, load_config
 from .engine import run_simulation
 from .experiments import (
     DEFAULT_SEEDS,
@@ -64,16 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    seeds = args.seed if args.seed else list(config.run.seeds)
+    run = RunParams(  # checked before the output directory is made
+        horizon_slots=config.run.horizon_slots if args.horizon is None else args.horizon,
+        seeds=tuple(args.seed) if args.seed else config.run.seeds,
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for seed in seeds:
+    for seed in run.seeds:
         trace_fh = None
         if args.trace or config.run.trace:
             trace_fh = open(out / f"trace_seed{seed}.jsonl", "w", encoding="utf-8")
         try:
             report = run_simulation(
-                config, horizon=args.horizon, seed=seed, trace_file=trace_fh
+                config, horizon=run.horizon_slots, seed=seed, trace_file=trace_fh
             )
         finally:
             if trace_fh is not None:

@@ -3,8 +3,8 @@
 Configs are hierarchical YAML documents with explicit units in key names.
 Parsing is strict: unknown keys, missing required sections, and out-of-range
 values all raise ConfigError naming the offending key, and nothing else is
-silently ignored. The parsed SimConfig carries a fully derived NetworkSpec
-(interference sets included, QoS attached to flows).
+silently ignored, a repeated key included. The parsed SimConfig carries a
+derived NetworkSpec (interference sets included) and QoS specs by flow id.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from collections.abc import Collection
-from dataclasses import MISSING, Field, asdict, dataclass, fields, replace
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from functools import cache
 from typing import Any
 
@@ -61,6 +61,7 @@ class ControlParams:
     a2: float = 1.0
     safety_stock_pkts: int = 5
     theta_hat_default: float = 2.0
+    qos: dict[int, QosSpec] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 < self.a1 < math.inf:
@@ -77,6 +78,11 @@ class ControlParams:
         object.__setattr__(self, "safety_stock_pkts", int(self.safety_stock_pkts))
         if not 1.0 < self.theta_hat_default < math.inf:
             raise ConfigError("control.theta_hat_default must be finite and > 1")
+        for fid in self.qos:
+            if not is_integer(fid):
+                raise ConfigError(f"control.qos: flow id {fid!r} is not an integer")
+        # None is no spec; a numpy integer id would give the same config another digest.
+        object.__setattr__(self, "qos", {int(f): q for f, q in self.qos.items() if q is not None})
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,11 @@ class SimConfig:
     optimizer: OptParams
     control: ControlParams
     run: RunParams
+
+    def __post_init__(self):
+        for fid in self.control.qos:
+            if fid not in self.network.flow_ids:
+                raise ConfigError(f"control.qos: flow id {fid} matches no flow destination")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -192,8 +203,7 @@ def _pair(check, first: str, second: str):
     return read
 
 
-# The value check of a params field, by the field's annotation. A flow is read
-# into its field values, not built: _parse_network builds it with its QoS spec.
+# The value check of a params field, by the field's annotation.
 _CHECKS = {
     "float": _number,
     "float | None": _optional(_number),
@@ -205,7 +215,7 @@ _CHECKS = {
     "tuple[tuple[int, ...], ...]": _tuple_of(_tuple_of(_integer)),
     "tuple[tuple[float, float], ...]": _tuple_of(_pair(_number, "x", "y")),
     "tuple[Link, ...]": _tuple_of(_pair(_integer, "i", "j")),
-    "tuple[Flow, ...]": _tuple_of(lambda value, path: _values(Flow, _mapping(value, path), path)),
+    "tuple[Flow, ...]": _tuple_of(lambda value, path: _params(Flow, value, path)),
 }
 
 # The config key of each field whose key is not its name.
@@ -216,37 +226,35 @@ _RENAMED = {
     "interference_sets": "extra_interference_sets",
 }
 
-# The one field that is not a config key: a flow's QoS comes from control.qos.
-_NOT_A_KEY = (Flow, "qos")
+# The one field _parse_control reads apart: its specs' theta_hat defaults to another key.
+_READ_APART = (ControlParams, "qos")
 
 
 @cache
 def _fields_by_key(cls) -> dict[str, Field]:
-    """cls's fields that config keys set, by key, in field order."""
-    return {
-        _RENAMED.get(f.name, f.name): f for f in fields(cls) if (cls, f.name) != _NOT_A_KEY
-    }
+    """cls's fields by config key, in field order."""
+    return {_RENAMED.get(f.name, f.name): f for f in fields(cls)}
 
 
-def _values(cls, sec: dict, path: str, extra_keys: tuple[str, ...] = ()) -> dict:
+def _values(cls, sec: dict, path: str) -> dict:
     """The values of sec's keys as cls's field arguments, each checked by the
     rule of its field's annotation; a required field must be present."""
     by_key = _fields_by_key(cls)
-    _check_keys(sec, (*by_key, *extra_keys), path)
+    _check_keys(sec, by_key, path)
     return {
         f.name: _CHECKS[f.type](_get(sec, key, path), f"{path}.{key}")
         for key, f in by_key.items()
-        if key in sec or f.default is MISSING
+        if (cls, f.name) != _READ_APART and (key in sec or f.default is MISSING)
     }
 
 
-def _params(cls, section: Any, path: str, extra_keys: tuple[str, ...] = (), **defaults):
+def _params(cls, section: Any, path: str, **defaults):
     """Build the params dataclass cls from one YAML mapping, one key per field.
 
     A present key is checked by its field's annotation and cls's __post_init__;
     an absent one keeps the field's default or its override in defaults.
     """
-    kwargs = defaults | _values(cls, _mapping(section, path), path, extra_keys)
+    kwargs = defaults | _values(cls, _mapping(section, path), path)
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -258,56 +266,56 @@ def _params(cls, section: Any, path: str, extra_keys: tuple[str, ...] = (), **de
 # -- section parsers --------------------------------------------------------
 
 
-def _parse_network(section: Any, qos_by_flow: dict[int, QosSpec]) -> NetworkSpec:
-    """Read the network section; each flow gets its destination's QoS spec."""
+def _parse_network(section: Any) -> NetworkSpec:
     sec = _mapping(section, "network")
     if not sec:
         raise ConfigError("network: section is required")
-    values = _values(NetworkSpec, sec, "network")
-    flows = tuple(
-        Flow(**kw, qos=qos_by_flow.get(kw["destination"])) for kw in values.pop("flows")
-    )
-    destinations = {fl.destination for fl in flows}
-    for fid in qos_by_flow:
-        if fid not in destinations:
-            raise ConfigError(f"control.qos: flow id {fid} matches no flow destination")
-    return derive_interference_sets(NetworkSpec(flows=flows, **values))
+    return derive_interference_sets(NetworkSpec(**_values(NetworkSpec, sec, "network")))
 
 
-def _parse_qos(section: Any, theta_default: float) -> dict[int, QosSpec]:
-    sec = _mapping(section, "control.qos")
-    out: dict[int, QosSpec] = {}
-    for raw_fid, item in sec.items():
-        try:
-            fid = int(raw_fid)
-        except (TypeError, ValueError):
-            raise ConfigError(f"control.qos: flow id {raw_fid!r} is not an integer") from None
+def _parse_control(section: Any) -> ControlParams:
+    """The control section. A control.qos spec's theta_hat defaults to
+    control.theta_hat_default; a kind: none entry is checked and means no spec."""
+    sec = _mapping(section, "control")
+    params = _params(ControlParams, sec, "control")
+    qos: dict[int, QosSpec | None] = {}
+    for fid, item in _mapping(sec.get("qos"), "control.qos").items():
         path = f"control.qos[{fid}]"
         qsec = _mapping(item, path)
-        if qsec.get("kind") == "none":  # no spec, but its values are still checked
+        if qsec.get("kind") == "none":
             _values(QosSpec, qsec, path)
+            qos[fid] = None
         else:
-            out[fid] = _params(QosSpec, qsec, path, theta_hat=theta_default)
-    return out
+            qos[fid] = _params(QosSpec, qsec, path, theta_hat=params.theta_hat_default)
+    return replace(params, qos=qos)
 
 
-def _parse_control(section: Any) -> tuple[ControlParams, dict[int, QosSpec]]:
-    sec = _mapping(section, "control")
-    params = _params(ControlParams, sec, "control", extra_keys=("qos",))
-    return params, _parse_qos(sec.get("qos"), params.theta_hat_default)
+class _StrictLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key repeated in one mapping; a << merge may override."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)  # constructs and hashes the keys
+        seen = set()
+        for k in own:
+            key = self.construct_object(k)
+            if key in seen:
+                raise ConfigError(f"config: duplicate key {key!r} at line {k.start_mark.line + 1}")
+            seen.add(key)
+        return mapping
 
 
 def parse_config(text: str) -> SimConfig:
     """Parse and fully validate a YAML config document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: invalid YAML: {exc}") from None
     top = _mapping(doc, "config")
     _check_keys(top, _fields_by_key(SimConfig), "config")
-    control, qos = _parse_control(top.get("control"))
+    control = _parse_control(top.get("control"))
     return SimConfig(
-        network=_parse_network(top.get("network"), qos),
+        network=_parse_network(top.get("network")),
         channel=_params(ChannelParams, top.get("channel"), "channel"),
         optimizer=_params(OptParams, top.get("optimizer"), "optimizer"),
         control=control,
@@ -324,11 +332,8 @@ def load_config(path) -> SimConfig:
 
 
 def with_qos(config: SimConfig, qos_map: dict[int, QosSpec | None]) -> SimConfig:
-    """Return a config whose flows carry the given QoS specs (by flow id)."""
-    flows = tuple(
-        replace(fl, qos=qos_map.get(fl.destination)) for fl in config.network.flows
-    )
-    return replace(config, network=replace(config.network, flows=flows))
+    """Return config with control.qos set to qos_map (by flow id; None is no spec)."""
+    return replace(config, control=replace(config.control, qos=qos_map))
 
 
 def with_optimizer(config: SimConfig, **kwargs) -> SimConfig:

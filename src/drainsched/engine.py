@@ -147,7 +147,7 @@ class Simulation:
         self._tx_cum = [0] * nq
 
         self._flows = {fid: FlowMetrics() for fid in net.flow_ids}
-        self._qspecs = {fid: net.qos_of(fid) for fid in net.flow_ids}
+        self._qspecs = {fid: config.control.qos.get(fid) for fid in net.flow_ids}
         self._deadline = {
             fid: (spec.deadline_slots if spec and spec.kind == "hard_deadline" else None)
             for fid, spec in self._qspecs.items()

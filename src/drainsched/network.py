@@ -16,10 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .control import QosSpec
 
 Link = tuple[int, int]
 
@@ -45,7 +41,7 @@ class Flow:
 
     Traffic identity follows the destination: every stream addressed to the
     same node belongs to the same flow and shares that flow's per-node queues
-    and QoS accounting. Routes are fixed node paths from source to
+    and statistics. Routes are fixed node paths from source to
     destination; the scheduler may split traffic across them. The
     NetworkSpec that holds a flow checks it.
     """
@@ -54,7 +50,6 @@ class Flow:
     destination: int
     routes: tuple[tuple[int, ...], ...]
     arrival_rate: float
-    qos: "QosSpec | None" = None
 
     def __post_init__(self):
         object.__setattr__(self, "routes", tuple(tuple(int(n) for n in r) for r in self.routes))
@@ -170,11 +165,6 @@ class NetworkSpec:
                         )
             by_dest.setdefault(fl.destination, []).append(fl)
         for dest, group in sorted(by_dest.items()):
-            distinct = {fl.qos for fl in group if fl.qos is not None}
-            if len(distinct) > 1:
-                raise ConfigError(
-                    f"flows with destination {dest} carry conflicting QoS specifications"
-                )
             self._check_acyclic(dest, group)
 
     def _check_acyclic(self, dest: int, group: list[Flow]) -> None:
@@ -206,23 +196,6 @@ class NetworkSpec:
     def flow_ids(self) -> tuple[int, ...]:
         """Distinct flow identifiers (destinations), ascending."""
         return tuple(sorted({fl.destination for fl in self.flows}))
-
-    def streams(self, flow_id: int) -> tuple[Flow, ...]:
-        return tuple(fl for fl in self.flows if fl.destination == flow_id)
-
-    def route_links(self, flow_id: int) -> tuple[Link, ...]:
-        """Distinct directed links used by any route of the flow, sorted."""
-        out: set[Link] = set()
-        for fl in self.streams(flow_id):
-            for route in fl.routes:
-                out.update(zip(route, route[1:]))
-        return tuple(sorted(out))
-
-    def qos_of(self, flow_id: int) -> "QosSpec | None":
-        for fl in self.streams(flow_id):
-            if fl.qos is not None:
-                return fl.qos
-        return None
 
     def distance(self, link: Link) -> float:
         (x1, y1), (x2, y2) = self.positions[link[0]], self.positions[link[1]]
@@ -268,9 +241,12 @@ def build_link_flow_index(spec: NetworkSpec) -> tuple[tuple[int, int, int], ...]
     lexicographically, which pins the cyclic update order of the optimizer
     and every other per-coordinate iteration in the system.
     """
-    return tuple(sorted(
-        (i, j, fid) for fid in spec.flow_ids for (i, j) in spec.route_links(fid)
-    ))
+    return tuple(sorted({
+        (i, j, fl.destination)
+        for fl in spec.flows
+        for route in fl.routes
+        for i, j in zip(route, route[1:])
+    }))
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,11 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("override", [["--horizon", "-5"], ["--seed", "-1"]])
     def test_bad_override_is_config_error(self, config_path, tmp_path, capsys, override):
-        status = main(["run", "--config", str(config_path), "--out", str(tmp_path)] + override)
+        out = tmp_path / "out"
+        status = main(["run", "--config", str(config_path), "--out", str(out)] + override)
         assert status == 1
         assert "config error: run." in capsys.readouterr().err
+        assert not out.exists()  # checked before the output directory is made
 
     @pytest.mark.parametrize("channel, key", [
         ("{gain_model: fixed, fixed_gain: .nan}", "channel.fixed_gain"),

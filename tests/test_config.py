@@ -10,17 +10,18 @@ import pytest
 
 from drainsched.config import (
     _CHECKS,
-    _NOT_A_KEY,
+    _READ_APART,
     _RENAMED,
     ChannelParams,
     ControlParams,
     RunParams,
     load_config,
     parse_config,
+    with_qos,
 )
 from drainsched.control import QosSpec
 from drainsched.engine import run_simulation
-from drainsched.experiments import bundled_preset_config
+from drainsched.experiments import build_grid, bundled_preset_config
 from drainsched.network import ConfigError, Flow, NetworkSpec
 from drainsched.optim import OptParams
 
@@ -61,11 +62,14 @@ class TestDefaults:
 
     @pytest.mark.parametrize("cls", READ_CLASSES)
     def test_every_field_annotation_has_a_check(self, cls):
-        keyed = [f for f in fields(cls) if (cls, f.name) != _NOT_A_KEY]
+        keyed = [f for f in fields(cls) if (cls, f.name) != _READ_APART]
         assert {f.type for f in keyed} <= set(_CHECKS)
 
-    def test_flow_qos_is_the_one_field_that_is_not_a_key(self):
-        assert _NOT_A_KEY == (Flow, "qos")
+    def test_control_qos_is_the_one_field_read_apart(self):
+        assert _READ_APART == (ControlParams, "qos")
+        assert [f.name for f in fields(Flow)] == [
+            "source", "destination", "routes", "arrival_rate"
+        ]
 
     def test_every_renamed_field_is_read(self):
         names = [f.name for cls in READ_CLASSES for f in fields(cls)]
@@ -114,18 +118,18 @@ run:
 class TestKeyFieldMap:
     def test_every_key_set_equals_dataclasses_built_directly(self):
         cfg = parse_config(EVERY_KEY)
-        got = (cfg.channel, cfg.optimizer, cfg.control, cfg.run,
-               cfg.network.qos_of(1), cfg.network.qos_of(2))
+        got = (cfg.channel, cfg.optimizer, cfg.control, cfg.run)
         want = (
             ChannelParams(rayleigh_scale_constant=2.0, noise_power=0.5, tx_power=3.0,
                           log_base="2", gain_model="fixed", fixed_gain=4.0),
             OptParams(step_size=2e-4, cycles=3, projection_repeats=4, init_mode="zeros",
                       divisor_mode="links"),
-            ControlParams(a1=2.5, a2=0.5, safety_stock_pkts=2, theta_hat_default=3.0),
+            ControlParams(a1=2.5, a2=0.5, safety_stock_pkts=2, theta_hat_default=3.0, qos={
+                1: QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=3.0),
+                2: QosSpec(kind="hard_deadline", deadline_slots=40, drop_ratio_target=0.1,
+                           theta_hat=1.5),
+            }),
             RunParams(horizon_slots=50, seeds=(3, 4), trace=True),
-            QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=3.0),
-            QosSpec(kind="hard_deadline", deadline_slots=40, drop_ratio_target=0.1,
-                    theta_hat=1.5),
         )
         # repr, unlike ==, tells 25 from 25.0, and so does the config digest
         assert repr(got) == repr(want)
@@ -344,7 +348,7 @@ control:
 
 
 class TestQosParsing:
-    def test_qos_attached_to_flows(self):
+    def test_qos_keyed_by_flow_id(self):
         doc = MINIMAL + """
 control:
   theta_hat_default: 3.0
@@ -352,7 +356,7 @@ control:
     1: {kind: mean_delay, target_slots: 25}
 """
         cfg = parse_config(doc)
-        spec = cfg.network.qos_of(1)
+        spec = cfg.control.qos[1]
         assert spec == QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=3.0)
 
     def test_hard_deadline_parsing(self):
@@ -362,7 +366,7 @@ control:
     1: {kind: hard_deadline, deadline_slots: 180, drop_ratio_target: 0.02, theta_hat: 2.0}
 """
         cfg = parse_config(doc)
-        spec = cfg.network.qos_of(1)
+        spec = cfg.control.qos[1]
         assert spec.deadline_slots == 180
         assert spec.drop_ratio_target == 0.02
 
@@ -373,7 +377,7 @@ control:
     1: {kind: none}
 """
         cfg = parse_config(doc)
-        assert cfg.network.qos_of(1) is None
+        assert cfg.control.qos == {}
 
     @pytest.mark.parametrize("entry, message", [
         ("{kind: none, target_slots: abc, theta_hat: .nan}",
@@ -385,6 +389,77 @@ control:
         doc = MINIMAL + f"\ncontrol: {{qos: {{1: {entry}}}}}\n"
         with pytest.raises(ConfigError, match=message):
             parse_config(doc)
+
+
+    @pytest.mark.parametrize("key", ["1.5", "1.0", "true", "'1'"])
+    def test_flow_id_must_be_an_integer(self, key):
+        # Each key used to be read with int() and taken for flow 1.
+        doc = MINIMAL + f"\ncontrol: {{qos: {{{key}: {{kind: mean_delay, target_slots: 5}}}}}}\n"
+        with pytest.raises(ConfigError, match="^control.qos: flow id .* is not an integer$"):
+            parse_config(doc)
+
+
+SPEC = QosSpec(kind="mean_delay", target_slots=5.0)
+
+
+class TestQosFlowIds:
+    """Every way of setting control.qos meets the same flow id checks."""
+
+    def test_with_qos_unknown_flow(self):
+        with pytest.raises(ConfigError, match="^control.qos: flow id 99 matches no flow"):
+            with_qos(bundled_preset_config(), {99: SPEC})
+
+    def test_replace_unknown_flow(self):
+        cfg = bundled_preset_config()
+        with pytest.raises(ConfigError, match="^control.qos: flow id 99 matches no flow"):
+            replace(cfg, control=replace(cfg.control, qos={99: SPEC}))
+
+    def test_grid_on_a_base_without_its_flows(self):
+        # table1 sets QoS on flows 7 and 8; MINIMAL has only flow 1.
+        with pytest.raises(ConfigError, match="^control.qos: flow id 7 matches no flow"):
+            build_grid("table1", base=parse_config(MINIMAL))
+
+    def test_with_qos_shares_the_network(self):
+        cfg = bundled_preset_config()
+        got = with_qos(cfg, {7: SPEC, 8: None})
+        assert got.network is cfg.network
+        assert got.control.qos == {7: SPEC}
+
+    @pytest.mark.parametrize("fid", [1.0, True, "7"])
+    def test_non_integer_id_rejected_by_replace(self, fid):
+        with pytest.raises(ConfigError, match="is not an integer"):
+            ControlParams(qos={fid: SPEC})
+
+    def test_numpy_integer_id_stored_as_int(self):
+        cfg = bundled_preset_config()
+        got = with_qos(cfg, {np.int64(7): SPEC})
+        assert [type(fid) for fid in got.control.qos] == [int]
+        assert got.digest() == with_qos(cfg, {7: SPEC}).digest()
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize("extra, key, line", [
+        ("run: {horizon_slots: 5}\nrun: {horizon_slots: 6}", "'run'", 8),
+        ("control:\n  a1: 1.0\n  a1: 7.0", "'a1'", 9),
+        ("control:\n  qos:\n    1: {kind: mean_delay, target_slots: 5}\n"
+         "    true: {kind: mean_delay, target_slots: 6}", "True", 10),
+    ], ids=["top-level", "section", "qos-1-and-true"])
+    def test_repeated_key_named_with_its_line(self, extra, key, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + extra + "\n")
+        assert str(exc.value) == f"config: duplicate key {key} at line {line}"
+
+    def test_repeated_key_in_a_flow(self):
+        doc = MINIMAL.replace("source: 0,", "source: 0, source: 1,")
+        with pytest.raises(ConfigError, match="^config: duplicate key 'source' at line 6$"):
+            parse_config(doc)
+
+    def test_merge_may_override(self):
+        doc = MINIMAL.replace("  flows:\n", "  flows:\n    - &f ").replace(
+            "    - {source", "{source", 1
+        ) + "    - {<<: *f, rate_pkts_per_slot: 0.25}\n"
+        rates = [fl.arrival_rate for fl in parse_config(doc).network.flows]
+        assert rates == [0.5, 0.25]
 
 
 class TestBundledPreset:
@@ -418,7 +493,7 @@ class TestBundledPreset:
     def test_digest_is_pinned(self):
         # Every experiment CSV header records this digest; a default read with
         # another type (1 instead of 1.0) changes it.
-        assert bundled_preset_config().digest() == "3c8b6b6dabf584f6"
+        assert bundled_preset_config().digest() == "e666eced60a14303"
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "net.yaml"
@@ -561,5 +636,5 @@ class TestReadmeExample:
         (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
         cfg = parse_config(block)
         assert cfg.network.flow_ids == (1, 2)
-        assert cfg.network.qos_of(1).kind == "hard_deadline"
-        assert cfg.network.qos_of(2).kind == "mean_delay"
+        assert cfg.control.qos[1].kind == "hard_deadline"
+        assert cfg.control.qos[2].kind == "mean_delay"

@@ -34,22 +34,22 @@ class TestBuildGrid:
         )
         for point, iters in zip(grid, FIG3B_ITERATIONS):
             assert point.config.optimizer.cycles == iters
-            assert all(fl.qos is None for fl in point.config.network.flows)
+            assert point.config.control.qos == {}
 
     def test_table1_grid_is_eight_runs_per_replication(self):
         grid = build_grid("table1")
         assert len(grid) == 8
         for point in grid:
-            assert point.config.network.qos_of(7).kind == "mean_delay"
-            assert point.config.network.qos_of(8).kind == "mean_delay"
-            assert point.config.network.qos_of(9) is None
+            assert point.config.control.qos.get(7).kind == "mean_delay"
+            assert point.config.control.qos.get(8).kind == "mean_delay"
+            assert point.config.control.qos.get(9) is None
 
     def test_table2_grid_rows(self):
         grid = build_grid("table2")
         assert len(grid) == 6
         for point in grid:
-            q7 = point.config.network.qos_of(7)
-            q8 = point.config.network.qos_of(8)
+            q7 = point.config.control.qos.get(7)
+            q8 = point.config.control.qos.get(8)
             assert q7.kind == "hard_deadline" and q7.theta_hat == 2.0
             assert q8.kind == "mean_delay" and q8.theta_hat == 1.5
 

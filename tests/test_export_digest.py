@@ -65,16 +65,18 @@ def test_json_export_digest(tmp_path, build, horizon, sha256):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+# The output files record the config digest in their headers, so these pins
+# move with SimConfig's layout even when every simulated number stays.
 EXPERIMENT_SHA256 = {
     "table2": {
-        "_runs.csv": "4b698f056cdf361e44d114a889d4e326f733cc19ea8fe769aaa5412b78fdb313",
-        "_summary.csv": "3c3d8a39a02fff93b269dfc63fbd9816eb436646128f0c058466a8be9c64fda2",
-        "_summary.json": "3a3e6a0e29ec630576388303af65bf033d0825c88e3ac7fcb116cab117153625",
+        "_runs.csv": "c4d8c0232be0968b5153af6503678e774de6a5f9edc9e0bd5a11eb1f77647ca7",
+        "_summary.csv": "488820a848370a7995aa8b124d857e31b87a72ea3ef06c1c9b5d4b8ea5a9f833",
+        "_summary.json": "2e46584d80435911d4cfec5d3f04a2a6920594c279ff7b8b46d007b4b045d807",
     },
     "fig3b-sweep": {
-        "_runs.csv": "5db68ef3ce727dbd46f1f1a42e75ecb2c1e95d83bccb861040c56c88347f5613",
-        "_summary.csv": "87405bdb28294b24473ec90b28a90181e50596c888af5d0154960f4043bea6d9",
-        "_summary.json": "61b392fb396da1bd496098cb10d63786442f48d53ac84e4a9d3670097c4c6f20",
+        "_runs.csv": "804057037baebbf7dc8d155e24048a9f4139d07abdbcc9e1106e6465f0177844",
+        "_summary.csv": "c41f1a4758c7277716ea5babf7ee484f6754831e6ad4cf9c1b9ffa0b4508c6aa",
+        "_summary.json": "a0fa4303a17f739acf2fe96417ae42230600bdd9a7e5af0d0636289a3a74f6fb",
     },
 }
 
