@@ -149,25 +149,23 @@ def build_slot_schedule(s, window: int, constraints: ConstraintSet) -> SlotSched
     if len(s) != n:
         raise ValueError(f"schedule vector has {len(s)} coordinates, constraints {n}")
 
+    floor = math.floor
     quota = []
     for v in s:
         target = v * window
-        q = math.floor(target)
-        if target - q > 0.5:
-            q += 1
-        quota.append(q)
+        q = floor(target)
+        quota.append(q + 1 if target - q > 0.5 else q)
 
-    masks = constraints.masks
     busy = [0] * window
     active: list[list[int]] = [[] for _ in range(window)]
     assigned = [0] * n
-    for k in range(n):
+    offsets = range(window)
+    for k, mk in enumerate(constraints.masks):
         need = quota[k]
         if need <= 0:
             continue
-        mk = masks[k]
         got = 0
-        for off in range(window):
+        for off in offsets:
             if busy[off] & mk:
                 continue
             busy[off] |= mk
@@ -179,7 +177,7 @@ def build_slot_schedule(s, window: int, constraints: ConstraintSet) -> SlotSched
 
     return SlotSchedule(
         window=window,
-        active_by_offset=tuple(tuple(a) for a in active),
+        active_by_offset=tuple(map(tuple, active)),
         assigned=tuple(assigned),
         quota=tuple(quota),
     )

@@ -14,9 +14,12 @@ entry per packet.
 A review fixes the slot schedule and the link rates until the next review,
 so the engine runs the packet phase one review window at a time
 (Simulation._advance): the engine state is loaded into locals once per call,
-the window's arrivals are read with one slice per stream, and the slots of
-the window then run in a plain loop. run() calls step() on each review slot
-and _advance for the rest of that window; step() is _advance over one slot.
+and the slots of the window run in a plain loop that reads each stream's
+arrival count and the slot's active links in place, by offset into the
+arrival block and into the schedule; a window that runs past the end of the
+arrival block goes on in the next block. run() calls step() on each review
+slot and _advance for the rest of that window; step() is _advance over one
+slot.
 
 With invariant checking enabled the engine verifies, every slot, the exact
 queue bookkeeping identity (arrivals + receptions - transmissions), that each
@@ -64,7 +67,7 @@ class _Arrivals:
     slots at a time, and keeps one block at a time: slot t's count is the
     t-th draw of the substream, the value one poisson(rate, horizon) call
     gives it, whatever windows the slots are read in. All streams hold the
-    same block, so a window within it costs one slice per stream.
+    same block, and the engine reads it in place, by offset.
     """
 
     def __init__(self, streams: list[tuple[int, FlowMetrics, np.random.SeedSequence, float]],
@@ -75,20 +78,15 @@ class _Arrivals:
         self._index = -1  # the block held in _blocks
         self._blocks: list[tuple[int, FlowMetrics, list[int]]] = []
 
-    def window(self, t: int, end: int) -> list[tuple[int, FlowMetrics, list[int]]]:
-        """(queue index, flow record, counts of slots t .. end - 1) per
-        stream; 0 <= t < end <= horizon."""
-        b, lo = divmod(t, ARRIVAL_BLOCK)
+    def block(self, t: int) -> tuple[int, int, list[tuple[int, FlowMetrics, list[int]]]]:
+        """(base, end, streams) of the block holding slot t, 0 <= t < horizon:
+        it covers slots base .. end - 1, and each stream is (queue index, flow
+        record, counts), where counts[t - base] is slot t's count."""
+        b = t // ARRIVAL_BLOCK
         if b != self._index:
             self._load(b)
-        hi = lo + end - t
-        out = [(qi, fm, block[lo:hi]) for qi, fm, block in self._blocks]
-        while hi > ARRIVAL_BLOCK:  # the window runs into the next block
-            self._load(self._index + 1)
-            hi -= ARRIVAL_BLOCK
-            for (_, _, counts), (_, _, block) in zip(out, self._blocks):
-                counts += block[:hi]
-        return out
+        base = b * ARRIVAL_BLOCK
+        return base, min(base + ARRIVAL_BLOCK, self._horizon), self._blocks
 
     def _load(self, b: int) -> None:
         """Draw every stream's blocks up to b; going back to an earlier block
@@ -212,9 +210,9 @@ class Simulation:
         rates = chan.rate_table(
             gains, cfg.channel.tx_power, cfg.channel.noise_power, cfg.channel.log_base
         )
-        mu = [rates[link] for link in self._link_of]
+        mu = list(map(rates.__getitem__, self._link_of))
         try:
-            self._fmu = [int(r) for r in mu]
+            self._fmu = list(map(int, mu))
         except OverflowError:  # an infinite gain; rate_table rejects finite ones
             link = next(link for link, r in rates.items() if r == math.inf)
             raise ConfigError(
@@ -223,7 +221,8 @@ class Simulation:
 
         theta = update_qos_weights(self._qspecs, self._flows)
         qlen = self._qlen
-        w = [theta[f] * qlen[qi] for f, qi in zip(self._f_of, self._qidx_of)]
+        w = list(map(operator.mul, map(theta.__getitem__, self._f_of),
+                     map(qlen.__getitem__, self._qidx_of)))
         wv = WeightVector(w=w, mu=mu, theta_hat=self._theta_hat_max)
         s, diag = solve_review_optimization(wv, self.constraints, cfg.optimizer)
 
@@ -235,18 +234,16 @@ class Simulation:
             self.interference_violations += schedule.count_violations(self.constraints)
         self._slots = schedule.active_by_offset
 
-        self.periods.append(
-            PeriodRecord(
-                start=t,
-                window=schedule.window,
-                objective=diag.final_objective,
-                objective_trace=diag.objective_trace,
-                c2=diag.c2,
-                c3=diag.c3,
-                handoff_messages=diag.handoff_messages,
-                excess_broadcasts=diag.excess_broadcasts,
-                theta=theta,
-            )
+        self.periods.add(
+            start=t,
+            window=schedule.window,
+            objective=diag.final_objective,
+            objective_trace=diag.objective_trace,
+            c2=diag.c2,
+            c3=diag.c3,
+            handoff_messages=diag.handoff_messages,
+            excess_broadcasts=diag.excess_broadcasts,
+            theta=theta,
         )
         if self._trace_file is not None:
             self._trace_file.write(
@@ -271,11 +268,12 @@ class Simulation:
         """Run slots self.t .. stop - 1, one review window at a time.
 
         Each pass of the outer loop reviews if due, then runs the slots up to
-        the next review or stop under one slot schedule, with that window's
-        arrivals read from one slice per stream. A window whose next review
-        lies in the past (t_rev < t, reachable only by setting the clock by
-        hand) never reviews again; its slots past the end of the schedule are
-        idle. A stop past the horizon raises ValueError and changes nothing.
+        the next review, stop or the end of the arrival block under one slot
+        schedule, reading the block's counts and the schedule by offset. A
+        window whose next review lies in the past (t_rev < t, reachable only
+        by setting the clock by hand) never reviews again; its slots past the
+        end of the schedule are idle. A stop past the horizon raises
+        ValueError and changes nothing.
         """
         if stop > self.horizon:
             raise ValueError(
@@ -297,17 +295,26 @@ class Simulation:
         qbar = self._qbar
         check = self._check
         masks = self.constraints.masks
+        blk_end = 0  # no block read yet
         while t < stop:
             if t == self.t_rev:
                 self._review(t)
             t_rev = self.t_rev
             end = t_rev if t < t_rev < stop else stop
+            if t >= blk_end:
+                base, blk_end, arrivals = self._arrivals.block(t)
+            if end > blk_end:
+                end = blk_end
             fmu = self._fmu
-            off = t - self.t_prev
-            acts = self._slots[off:off + end - t] if off >= 0 else ()
-            acts += ((),) * (end - t - len(acts))  # past the schedule: idle
-            arrivals = self._arrivals.window(t, end)
-            for i, active in enumerate(acts):
+            slots = self._slots
+            tp = self.t_prev
+            off = t - tp
+            if off < 0 or end - tp > len(slots):  # a hand-set clock: idle past the schedule
+                slots = slots[off:end - tp] if off >= 0 else ()
+                slots += ((),) * (end - t - len(slots))
+                tp = t
+            for t in range(t, end):
+                i = t - base
                 for qi, fm, arr in arrivals:
                     n_new = arr[i]
                     if n_new:
@@ -321,6 +328,7 @@ class Simulation:
                         fm.created += n_new
                         arr_cum[qi] += n_new
 
+                active = slots[t - tp]
                 if active:
                     stage: list[tuple[int, int]] = []
                     txmask = 0
@@ -403,7 +411,7 @@ class Simulation:
                     delivered = sum(fm.delivered for fm in flows.values())
                     if created != delivered + sum(qlen):
                         self.conservation_violations += 1
-                t += 1
+            t = end
             self._qsum = qsum
             self.t = t
 

@@ -13,6 +13,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,15 +43,10 @@ class WeightVector:
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
         if self.w.shape != self.mu.shape or self.w.ndim != 1:
             raise ValueError("w and mu must be 1-d vectors of equal length")
-        # min and max propagate NaN, so this holds exactly when every entry of
-        # w and mu is finite and >= 0.
-        both = np.concatenate((self.w, self.mu))
-        lo, hi = np.minimum.reduce(both, initial=0.0), np.maximum.reduce(both, initial=0.0)
-        if not 0.0 <= lo <= hi < math.inf:
-            for name in ("w", "mu"):
-                bad = [x for x in getattr(self, name).tolist() if not 0.0 <= x < math.inf]
-                if bad:
-                    raise ValueError(f"{name} must be finite and >= 0, got {bad[0]}")
+        for name in ("w", "mu"):
+            for x in getattr(self, name).tolist():
+                if not 0.0 <= x < math.inf:  # NaN fails both comparisons
+                    raise ValueError(f"{name} must be finite and >= 0, got {x}")
         if not 1.0 <= self.theta_hat < math.inf:
             raise ValueError(f"theta_hat must be finite and >= 1, got {self.theta_hat}")
 
@@ -220,10 +216,14 @@ def solve_review_optimization(
     n = constraints.n_coords
     if weights.n_coords != n:
         raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
-    # c2 takes np.maximum.reduce, the reduction ndarray.max() wraps: on rates of
-    # mixed-sign zeros the sign it returns depends on its vectorized reduction
-    # order, which no list loop matches.
-    c2 = weights.theta_hat * float(np.maximum.reduce(weights.mu)) if n else 0.0
+    mu = weights.mu.tolist()
+    top = max(mu, default=0.0)
+    if top == 0.0 and n:
+        # Only a zero max can differ: on rates of mixed-sign zeros the sign
+        # np.maximum.reduce (what ndarray.max() wraps) returns depends on its
+        # vectorized reduction order, which no list loop matches.
+        top = float(np.maximum.reduce(weights.mu))
+    c2 = weights.theta_hat * top
     try:
         beta, c3 = theorem_gap_bound(params.step_size, n, c2)
     except OverflowError:  # c2**2 beyond the float range
@@ -235,9 +235,9 @@ def solve_review_optimization(
         )
 
     s = [1.0 if params.init_mode == "ones" else 0.0] * n
-    wmu = weights.w * weights.mu
-    wmu_l = wmu.tolist()
-    if not any(wmu_l):
+    # The products numpy's w * mu gives, one IEEE multiply each.
+    wmu = list(map(operator.mul, weights.w.tolist(), mu))
+    if not any(wmu):
         return finalize_feasible(s, constraints), OptDiagnostics(
             c2=c2,
             beta=beta,
@@ -251,7 +251,7 @@ def solve_review_optimization(
     run = cycle_kernel(constraints, params.divisor_mode)
     step = params.step_size
     s, broadcasts, trace = run(
-        s, [step * v for v in wmu_l], wmu_l, params.cycles, params.projection_repeats
+        s, [step * v for v in wmu], wmu, params.cycles, params.projection_repeats
     )
 
     out = finalize_feasible(s, constraints)

@@ -98,26 +98,38 @@ class PeriodLog:
         return self._n
 
     def append(self, rec: PeriodRecord) -> None:
-        if len(rec.objective_trace) != self.stride:
+        if rec.oracle_gap is not None:
+            raise ValueError(f"oracle_gap: the log keeps no gap, got {rec.oracle_gap!r}")
+        self.add(rec.start, rec.window, rec.objective, rec.objective_trace, rec.c2, rec.c3,
+                 rec.handoff_messages, rec.excess_broadcasts, rec.theta)
+
+    def add(
+        self, start: int, window: int, objective: float, objective_trace: Sequence[float],
+        c2: float, c3: float, handoff_messages: int, excess_broadcasts: int,
+        theta: dict[int, float],
+    ) -> None:
+        """Append the row of a PeriodRecord with these fields and no oracle
+        gap, without building the record (the engine's call per review)."""
+        if len(objective_trace) != self.stride:
             raise ValueError(
-                f"objective_trace: {len(rec.objective_trace)} values, the log's stride is "
+                f"objective_trace: {len(objective_trace)} values, the log's stride is "
                 f"{self.stride}"
             )
-        theta = rec.theta
         if theta.keys() != self.theta.keys():
             raise ValueError(
                 f"theta: flow ids {sorted(theta)}, the log's are {sorted(self.theta)}"
             )
-        if rec.oracle_gap is not None:
-            raise ValueError(f"oracle_gap: the log keeps no gap, got {rec.oracle_gap!r}")
         n = self._n
         name = ""
         try:
-            values = vars(rec)
-            for name, col in self.columns.items():
-                col.append(values[name])
+            for name, col, value in zip(
+                _SCALARS,  # the order of self.columns
+                self.columns.values(),
+                (start, window, objective, c2, c3, handoff_messages, excess_broadcasts),
+            ):
+                col.append(value)
             name = "objective_trace"
-            self.trace.extend(rec.objective_trace)
+            self.trace.extend(objective_trace)
             name = "theta"
             for fid, col in self.theta.items():
                 col.append(theta[fid])

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -12,6 +13,8 @@ from drainsched.config import (
     _CHECKS,
     _READ_APART,
     _RENAMED,
+    _StrictLoader,
+    _strict_loader,
     ChannelParams,
     ControlParams,
     RunParams,
@@ -185,6 +188,13 @@ control:
 """
         with pytest.raises(ConfigError, match="flow id 9"):
             parse_config(doc)
+
+    def test_qos_kind_none_for_unknown_flow(self):
+        # A kind: none entry is dropped from control.qos, but its flow id is
+        # checked like any other kind's.
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\ncontrol: {qos: {9: {kind: none}}}\n")
+        assert str(exc.value) == "control.qos: flow id 9 matches no flow destination"
 
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError, match="invalid YAML"):
@@ -638,3 +648,66 @@ class TestReadmeExample:
         assert cfg.network.flow_ids == (1, 2)
         assert cfg.control.qos[1].kind == "hard_deadline"
         assert cfg.control.qos[2].kind == "mean_delay"
+
+
+def yaml_documents():
+    """Every YAML text these tests read: the bundled preset, the README block,
+    each string literal of this file that holds a mapping key, alone and
+    after MINIMAL, and the NETWORK_ERRORS documents."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    literals = sorted({
+        node.value for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and ": " in node.value
+    })
+    return [
+        (root / "src" / "drainsched" / "presets" / "mesh10.yaml").read_text(encoding="utf-8"),
+        block,
+        *literals,
+        *(MINIMAL + "\n" + text for text in literals),
+        *(yaml.safe_dump({"network": network} | sections)
+          for network, sections, _ in NETWORK_ERRORS.values()),
+    ]
+
+
+def loaded(text, loader):
+    """What yaml.load gives for text: the document's repr, or the error (for
+    invalid YAML only its class: libyaml words and marks the problem its own
+    way)."""
+    try:
+        return "document", repr(yaml.load(text, Loader=loader))
+    except ConfigError as exc:
+        return "ConfigError", str(exc)
+    except yaml.YAMLError as exc:
+        return type(exc).__name__, None
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLibyamlLoader:
+    """The strict loader runs on libyaml's parser where PyYAML has it; the
+    documents and the duplicate-key messages are those of the pure-Python
+    parser."""
+
+    def test_strict_loader_is_based_on_libyaml(self):
+        assert issubclass(_StrictLoader, yaml.CSafeLoader)
+
+    def test_same_documents_and_errors_from_both_parsers(self):
+        pure, fast = _strict_loader(yaml.SafeLoader), _strict_loader(yaml.CSafeLoader)
+        docs = yaml_documents()
+        assert len(docs) > 100
+        outcomes = [loaded(text, pure) for text in docs]
+        assert [loaded(text, fast) for text in docs] == outcomes
+        kinds = {kind for kind, _ in outcomes}
+        assert {"document", "ConfigError"} <= kinds
+
+    @pytest.mark.parametrize("base", ["SafeLoader", "CSafeLoader"])
+    def test_duplicate_key_message_from_either_parser(self, base):
+        loader = _strict_loader(getattr(yaml, base))
+        for extra, key, line in [
+            ("run: {horizon_slots: 5}\nrun: {horizon_slots: 6}", "'run'", 8),
+            ("control:\n  qos:\n    1: {kind: none}\n    true: {kind: none}", "True", 10),
+        ]:
+            with pytest.raises(ConfigError) as exc:
+                yaml.load(MINIMAL + extra + "\n", Loader=loader)
+            assert str(exc.value) == f"config: duplicate key {key} at line {line}"

@@ -90,6 +90,17 @@ class TestWeightVector:
         with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0"):
             WeightVector(**values)
 
+    @pytest.mark.parametrize("w, mu, message", [
+        ([1.0, -2.0, math.nan], [1.0, 1.0, 1.0], "w must be finite and >= 0, got -2.0"),
+        ([1.0, math.inf, -1.0], [1.0, 1.0, 1.0], "w must be finite and >= 0, got inf"),
+        ([1.0, 1.0, 1.0], [0.0, math.nan, -math.inf], "mu must be finite and >= 0, got nan"),
+        ([0.0, 0.0, -0.5], [-1.0, 1.0, 1.0], "w must be finite and >= 0, got -0.5"),
+    ])
+    def test_first_bad_entry_of_w_then_mu_named(self, w, mu, message):
+        with pytest.raises(ValueError) as err:
+            WeightVector(w=w, mu=mu)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("theta_hat", [math.nan, math.inf, 0.5])
     def test_bad_theta_hat_named(self, theta_hat):
         with pytest.raises(ValueError, match="^theta_hat must be finite and >= 1"):
