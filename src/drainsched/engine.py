@@ -21,6 +21,15 @@ arrival block goes on in the next block. run() calls step() on each review
 slot and _advance for the rest of that window; step() is _advance over one
 slot.
 
+The queue-length integral, each queue's end-of-slot length summed over the
+slots run (report() averages it), is not added up slot by slot. It is kept
+as a weighted-time sum W: n packets joining queue q at slot t add n * t to
+W[q], and n leaving it subtract n * t, so after the slots up to T the
+integral is T * qlen[q] - W[q], in exact integer arithmetic. T is the clock
+at the end of the last slot run; inject counts its packets at that T, and a
+clock set by hand since then shifts W by (t - T) * qlen[q] when the next
+slot runs, which leaves the integral as it was.
+
 With invariant checking enabled the engine verifies, every slot, the exact
 queue bookkeeping identity (arrivals + receptions - transmissions), that each
 queue's bucket counts sum to its length, the global packet-count identity,
@@ -132,14 +141,14 @@ class Simulation:
         self._qidx_of = [qpos[(i, f)] for (i, j, f) in entries]
         self._f_of = [f for (_, _, f) in entries]
         self._link_of = [(i, j) for (i, j, _) in entries]
-        self._rxq_of = [-1 if j == f else qpos[(j, f)] for (i, j, f) in entries]
 
         nq = len(self._qkeys)
         # Queue qi is the FIFO of buckets zip(born[qi], count[qi]).
         self._born: list[deque[int]] = [deque() for _ in range(nq)]
         self._count: list[deque[int]] = [deque() for _ in range(nq)]
         self._qlen = [0] * nq
-        self._qsum = [0] * nq
+        self._qtime = [0] * nq  # the weighted-time sum W of the module docstring
+        self._t_run = 0  # the clock at the end of the last slot run
         self._arr_cum = [0] * nq
         self._rx_cum = [0] * nq
         self._tx_cum = [0] * nq
@@ -154,6 +163,18 @@ class Simulation:
             [spec.theta_hat for spec in self._qspecs.values() if spec is not None],
             default=1.0,
         )
+        # Per coordinate: (queue, next-hop queue or -1 at the destination, flow
+        # record, its histogram, deadline or a delay no packet exceeds).
+        self._coords = [
+            (
+                qpos[(i, f)],
+                -1 if j == f else qpos[(j, f)],
+                self._flows[f],
+                self._flows[f].histogram,
+                math.inf if self._deadline[f] is None else self._deadline[f],
+            )
+            for (i, j, f) in entries
+        ]
 
         # Poisson arrivals, one independent substream per (source,
         # destination) arrival stream in sorted order, drawn block by block
@@ -194,6 +215,7 @@ class Simulation:
         created = [int(c) for c in created_slots]
         _push(self._born[qi], self._count[qi], [(slot, 1) for slot in created])
         self._qlen[qi] += len(created)
+        self._qtime[qi] += len(created) * self._t_run
         self._arr_cum[qi] += len(created)
         self._flows[flow_id].created += len(created)
 
@@ -283,15 +305,17 @@ class Simulation:
         born = self._born
         count = self._count
         qlen = self._qlen
-        qsum = self._qsum
+        qtime = self._qtime
+        if t != self._t_run:  # the clock was set by hand
+            shift = t - self._t_run
+            for qi, n in enumerate(qlen):
+                qtime[qi] += shift * n
+            self._t_run = t
         arr_cum = self._arr_cum
         rx_cum = self._rx_cum
         tx_cum = self._tx_cum
         flows = self._flows
-        qidx_of = self._qidx_of
-        f_of = self._f_of
-        rxq_of = self._rxq_of
-        deadlines = self._deadline
+        coords = self._coords
         qbar = self._qbar
         check = self._check
         masks = self.constraints.masks
@@ -325,6 +349,7 @@ class Simulation:
                             b.append(t)
                             count[qi].append(n_new)
                         qlen[qi] += n_new
+                        qtime[qi] += n_new * t
                         fm.created += n_new
                         arr_cum[qi] += n_new
 
@@ -333,7 +358,7 @@ class Simulation:
                     stage: list[tuple[int, int]] = []
                     txmask = 0
                     for k in active:
-                        qi = qidx_of[k]
+                        qi, rq, fm, hist, deadline = coords[k]
                         avail = qlen[qi] - qbar
                         if avail <= 0:
                             continue
@@ -342,13 +367,32 @@ class Simulation:
                             n_mv = avail
                         if n_mv <= 0:
                             continue
-                        rq = rxq_of[k]
+                        # Drain n_mv packets from the head; only the head
+                        # bucket is ever split. Each (creation slot, n) piece
+                        # is delivered as a whole or forwarded.
+                        b = born[qi]
+                        cn = count[qi]
+                        rem = n_mv
                         if rq < 0:
-                            fid = f_of[k]
-                            c = flows[fid]
-                            hist = c.histogram
-                            deadline = deadlines[fid]
-                            c.delivered += n_mv
+                            delay_sum = late = 0
+                            while rem:
+                                n = cn[0]
+                                if n > rem:
+                                    cn[0] = n - rem
+                                    slot = b[0]
+                                    n = rem
+                                else:
+                                    cn.popleft()
+                                    slot = b.popleft()
+                                rem -= n
+                                d = t - slot
+                                delay_sum += d * n
+                                if d > deadline:
+                                    late += n
+                                hist[d] = hist.get(d, 0) + n
+                            fm.delivered += n_mv
+                            fm.delay_sum += delay_sum
+                            fm.late += late
                         else:
                             # Forwarded pieces go straight onto the next hop's
                             # tail, but its length grows only once every link
@@ -359,35 +403,24 @@ class Simulation:
                             # indistinguishable from the rest of it.
                             rb = born[rq]
                             rc = count[rq]
+                            while rem:
+                                n = cn[0]
+                                if n > rem:
+                                    cn[0] = n - rem
+                                    slot = b[0]
+                                    n = rem
+                                else:
+                                    cn.popleft()
+                                    slot = b.popleft()
+                                rem -= n
+                                if rb and rb[-1] == slot:
+                                    rc[-1] += n
+                                else:
+                                    rb.append(slot)
+                                    rc.append(n)
                             stage.append((rq, n_mv))
-                        # Drain n_mv packets from the head; only the head
-                        # bucket is ever split. Each (creation slot, n) piece
-                        # is delivered as a whole or forwarded.
-                        b = born[qi]
-                        cn = count[qi]
-                        rem = n_mv
-                        while rem:
-                            n = cn[0]
-                            if n > rem:
-                                cn[0] = n - rem
-                                slot = b[0]
-                                n = rem
-                            else:
-                                cn.popleft()
-                                slot = b.popleft()
-                            rem -= n
-                            if rq < 0:
-                                d = t - slot
-                                c.delay_sum += d * n
-                                if deadline is not None and d > deadline:
-                                    c.late += n
-                                hist[d] = hist.get(d, 0) + n
-                            elif rb and rb[-1] == slot:
-                                rc[-1] += n
-                            else:
-                                rb.append(slot)
-                                rc.append(n)
                         qlen[qi] -= n_mv
+                        qtime[qi] -= n_mv * t
                         tx_cum[qi] += n_mv
                         if check:
                             m = masks[k]
@@ -396,9 +429,8 @@ class Simulation:
                             txmask |= m
                     for rq, n_mv in stage:
                         qlen[rq] += n_mv
+                        qtime[rq] += n_mv * t
                         rx_cum[rq] += n_mv
-
-                qsum = list(map(operator.add, qsum, qlen))
 
                 if check:
                     for qi in range(len(qlen)):
@@ -412,8 +444,7 @@ class Simulation:
                     if created != delivered + sum(qlen):
                         self.conservation_violations += 1
             t = end
-            self._qsum = qsum
-            self.t = t
+            self.t = self._t_run = t
 
     # -- reporting ------------------------------------------------------------
 
@@ -432,8 +463,14 @@ class Simulation:
         # Averaged over the slots run so far; before the first slot every sum
         # is 0 and the horizon stands in.
         slots = self.t or self.horizon
+        t_run = self._t_run
         queue_avg = (
-            {key: self._qsum[qi] / slots for qi, key in enumerate(self._qkeys)} if slots else {}
+            {
+                key: (t_run * n - w) / slots
+                for key, n, w in zip(self._qkeys, self._qlen, self._qtime)
+            }
+            if slots
+            else {}
         )
         return MetricsReport(
             seed=self.seed,

@@ -25,30 +25,50 @@ INIT_MODES = ("ones", "zeros")
 DIVISOR_MODES = ("coordinates", "links")
 
 
+def _floats(values) -> list[float]:
+    """values as a list of floats, each entry converted as np.asarray(values,
+    dtype=float) converts it; anything but a 1-d sequence is a ValueError."""
+    if isinstance(values, list):
+        try:
+            return list(map(float, values))
+        except TypeError:
+            pass  # a nested entry: let numpy find the shape
+    array = np.asarray(values, dtype=float)
+    if array.ndim != 1:
+        raise ValueError("w and mu must be 1-d vectors of equal length")
+    return array.tolist()
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Per-coordinate objective data at a review instant.
 
     w[k] is theta^f * (backlog of queue (i(k), f(k))), mu[k] the link rate.
-    theta_hat is the largest configured priority weight; it only feeds the
-    convergence-bound diagnostic.
+    Both are stored as tuples of floats; any 1-d sequence of numbers (a list,
+    a tuple or an ndarray) is accepted. theta_hat is the largest configured
+    priority weight; it only feeds the convergence-bound diagnostic.
     """
 
-    w: np.ndarray
-    mu: np.ndarray
+    w: tuple[float, ...]
+    mu: tuple[float, ...]
     theta_hat: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        object.__setattr__(self, "mu", np.asarray(self.mu, dtype=float))
-        if self.w.shape != self.mu.shape or self.w.ndim != 1:
+        w = _floats(self.w)
+        mu = _floats(self.mu)
+        if len(w) != len(mu):
             raise ValueError("w and mu must be 1-d vectors of equal length")
-        for name in ("w", "mu"):
-            for x in getattr(self, name).tolist():
+        for name, values in (("w", w), ("mu", mu)):
+            for x in values:
                 if not 0.0 <= x < math.inf:  # NaN fails both comparisons
                     raise ValueError(f"{name} must be finite and >= 0, got {x}")
         if not 1.0 <= self.theta_hat < math.inf:
             raise ValueError(f"theta_hat must be finite and >= 1, got {self.theta_hat}")
+        # Built from the lists, never from an iterator: a tuple grown from an
+        # iterator is resized, and the freed ones pile up on CPython's tuple
+        # free list instead of being reused.
+        object.__setattr__(self, "w", tuple(w))
+        object.__setattr__(self, "mu", tuple(mu))
 
     @property
     def n_coords(self) -> int:
@@ -112,11 +132,10 @@ class OptDiagnostics:
 def objective(s, weights: WeightVector) -> float:
     """sum_k w_k * mu_k * s(k)."""
     s = np.asarray(s, dtype=float)
-    if s.shape != weights.w.shape:
-        raise ValueError(
-            f"dimension mismatch: schedule has {s.shape}, weights have {weights.w.shape}"
-        )
-    return float(np.dot(weights.w * weights.mu, s))
+    w = np.asarray(weights.w, dtype=float)
+    if s.shape != w.shape:
+        raise ValueError(f"dimension mismatch: schedule has {s.shape}, weights have {w.shape}")
+    return float(np.dot(w * np.asarray(weights.mu, dtype=float), s))
 
 
 def project_onto_halfspace(s, h: Halfspace) -> np.ndarray:
@@ -216,13 +235,13 @@ def solve_review_optimization(
     n = constraints.n_coords
     if weights.n_coords != n:
         raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
-    mu = weights.mu.tolist()
+    mu = weights.mu
     top = max(mu, default=0.0)
     if top == 0.0 and n:
         # Only a zero max can differ: on rates of mixed-sign zeros the sign
         # np.maximum.reduce (what ndarray.max() wraps) returns depends on its
         # vectorized reduction order, which no list loop matches.
-        top = float(np.maximum.reduce(weights.mu))
+        top = float(np.maximum.reduce(mu))
     c2 = weights.theta_hat * top
     try:
         beta, c3 = theorem_gap_bound(params.step_size, n, c2)
@@ -236,7 +255,7 @@ def solve_review_optimization(
 
     s = [1.0 if params.init_mode == "ones" else 0.0] * n
     # The products numpy's w * mu gives, one IEEE multiply each.
-    wmu = list(map(operator.mul, weights.w.tolist(), mu))
+    wmu = list(map(operator.mul, weights.w, mu))
     if not any(wmu):
         return finalize_feasible(s, constraints), OptDiagnostics(
             c2=c2,
@@ -275,27 +294,32 @@ def solve_review_optimization(
 
 # The solver's cycles run as generated straight-line code. In each cycle every
 # coordinate k, in index order, steps s[k] += incs[k]; then the member sums of
-# its tail and head halfspaces are taken left to right from 0.0, and an
-# oversubscribed one is projected by subtracting (total - 1) * divisor from
-# each member; when both are, the two projections alternate up to
-# projection_repeats times. Each cycle ends by appending sum(wmu[k] * s[k]) to
-# the trace. The code has one local per coordinate, every sum unrolled in
-# member order, and the plan's reciprocal divisors baked in as exact float
-# literals. tests/test_optim.py keeps the same cycles as a plain loop over the
-# plan and checks the kernel against it bit for bit.
+# its tail and head halfspaces are taken left to right from the first member,
+# and an oversubscribed one is projected by subtracting (total - 1) * divisor
+# from each member; when both are, the two projections alternate up to
+# projection_repeats times. Each cycle ends by appending sum(wmu[k] * s[k]),
+# taken left to right from 0.0, to the trace. The code has one local per
+# coordinate, every sum unrolled in member order, and the plan's reciprocal
+# divisors baked in as exact float literals. tests/test_optim.py keeps the
+# same cycles as a plain loop over the plan, with every sum from 0.0, and
+# checks the kernel against it bit for bit. A member sum may skip the leading
+# 0.0 + because 0.0 + x differs from x only when x is -0.0, and a member total
+# is only compared with 1.0 and used in (total - 1.0) only above 1.0; the
+# trace keeps it, as the sign of a zero objective is exported.
 
 
-def _sum(total, terms, pad) -> list[str]:
-    """Lines setting total to 0.0 + terms[0] + terms[1] + ..., left to right.
+def _sum(total, terms, pad, head=None) -> list[str]:
+    """Lines setting total to head + terms[0] + terms[1] + ..., left to right,
+    or to terms[0] + terms[1] + ... when there is no head.
 
     Each statement takes at most 64 terms and the next one continues from
     total, which is the same left-nested sum: one expression of a few
     thousand terms exceeds the compiler's recursion limit.
     """
     lines = []
-    head = "0.0"
     for i in range(0, max(len(terms), 1), 64):
-        lines.append(f"{pad}{total} = " + " + ".join([head, *terms[i : i + 64]]))
+        chunk = terms[i : i + 64]
+        lines.append(f"{pad}{total} = " + " + ".join(chunk if head is None else [head, *chunk]))
         head = total
     return lines
 
@@ -335,22 +359,19 @@ def _kernel_source(plan) -> str:
             continue
         # When both are violated the projections alternate: each pass projects
         # onto whichever of the two is still violated, re-summing after every
-        # projection.
+        # projection, and a pass that projects onto neither ends the loop.
         rep = pad + " " * 12
         lines += [
             *_member_sum(m2, "t2", pad),
             f"{pad}if t1 > 1.0:",
             f"{pad}    if t2 > 1.0:",
             f"{pad}        for _rep in range(projection_repeats):",
-            f"{rep}changed = False",
             f"{rep}if t1 > 1.0:",
             *_sum_cap_projection(m1, d1, b1, "t1", rep + " " * 4),
-            f"{rep}    changed = True",
             *_member_sum(m2, "t2", rep),
             f"{rep}if t2 > 1.0:",
             *_sum_cap_projection(m2, d2, b2, "t2", rep + " " * 4),
-            f"{rep}    changed = True",
-            f"{rep}if not changed:",
+            f"{rep}elif not t1 > 1.0:",
             f"{rep}    break",
             *_member_sum(m1, "t1", rep),
             f"{pad}    else:",
@@ -359,7 +380,7 @@ def _kernel_source(plan) -> str:
             *_sum_cap_projection(m2, d2, b2, "t2", pad + " " * 4),
         ]
     lines += [
-        *_sum("obj", [f"v{k} * s{k}" for k in range(n)], pad),
+        *_sum("obj", [f"v{k} * s{k}" for k in range(n)], pad, "0.0"),
         f"{pad}trace.append(obj)",
         f"    return [{coords}], broadcasts, trace",
     ]

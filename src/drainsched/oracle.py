@@ -40,7 +40,7 @@ def oracle_solve(
     if weights.n_coords != n:
         raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
 
-    cost = np.asarray(weights.w * weights.mu, dtype=float)
+    cost = np.asarray(weights.w, dtype=float) * np.asarray(weights.mu, dtype=float)
     n_half = len(constraints.halfspaces)
     membership = np.zeros((n_half, n))
     for hi, h in enumerate(constraints.halfspaces):

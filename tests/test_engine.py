@@ -469,6 +469,60 @@ class TestReportSnapshot:
         assert Simulation(bundled_preset_config(), seed=2, horizon=0).report().queue_avg == {}
 
 
+class TestQueueIntegral:
+    """report().queue_avg reads each queue's length summed over the slots run
+    from a weighted-time sum; it must equal a plain sum of the lengths of a
+    twin run stepped one slot at a time, wherever the report is taken."""
+
+    def test_matches_a_slot_by_slot_sum(self):
+        sim = Simulation(bundled_preset_config(), seed=2, horizon=2000)
+        ref = Simulation(bundled_preset_config(), seed=2, horizon=2000)
+        total = [0] * len(ref._qkeys)
+        seen = []
+
+        def check(stop, where):
+            sim._advance(stop)
+            while ref.t < stop:
+                ref.step()
+                for qi, n in enumerate(ref._qlen):
+                    total[qi] += n
+            assert sim._qlen == ref._qlen
+            want = {key: total[qi] / ref.t for qi, key in enumerate(ref._qkeys)}
+            assert sim.report().queue_avg == want, (where, sim.t)
+            seen.append(where)
+
+        def windows(count):
+            # the review slot, a slot inside the window, the window's end
+            for _ in range(count):
+                assert sim.t == sim.t_rev
+                check(sim.t + 1, "review")
+                end = min(sim.t_rev, sim.horizon)
+                if end - sim.t > 1:
+                    check((sim.t + end) // 2, "inside")
+                check(end, "end")
+
+        def both(action):
+            for s in (sim, ref):
+                action(s)
+
+        check(600, "inside")
+        check(sim.t_rev, "end")
+        windows(4)
+        key = sim._qkeys[0]
+        both(lambda s: s.inject(*key, [s.t - 5, s.t, s.t]))
+        windows(3)
+
+        def set_clock(s, t):
+            s.t = s.t_rev = t  # a review on the next slot
+
+        both(lambda s: set_clock(s, s.t + 150))
+        windows(3)
+        both(lambda s: set_clock(s, s.t - 400))
+        windows(3)
+        assert {"review", "inside", "end"} <= set(seen)
+        assert sum(total) > 0
+
+
 class TestReportSerialization:
     def test_roundtrip_equality(self):
         cfg = with_run(bundled_preset_config(), horizon_slots=2000)

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +113,45 @@ class TestWeightVector:
         wv = WeightVector(w=[0.0, -0.0, 2.0], mu=[-0.0, 0.0, 1e300])
         assert wv.n_coords == 3
         assert WeightVector(w=[], mu=[]).n_coords == 0
+
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    def test_fields_are_tuples_of_floats(self, form):
+        wv = WeightVector(w=form([1, 2.5, 0]), mu=form([0.5, 3, 1]))
+        assert wv.w == (1.0, 2.5, 0.0) and wv.mu == (0.5, 3.0, 1.0)
+        assert {type(x) for x in wv.w + wv.mu} == {float}
+
+    @pytest.mark.parametrize("w, mu", [
+        ([[1.0, 2.0]], [1.0, 2.0]),
+        (np.ones((2, 2)), np.ones(4)),
+        ([1.0, 2.0], [1.0]),
+    ])
+    def test_shapes_other_than_equal_1d_rejected(self, w, mu):
+        with pytest.raises(ValueError, match="^w and mu must be 1-d vectors of equal length"):
+            WeightVector(w=w, mu=mu)
+
+    def test_building_vectors_leaves_no_tuples_behind(self):
+        # A tuple grown from an iterator is resized as it fills; once freed it
+        # goes onto CPython's free list for its final size (up to 2000 per
+        # size) and is not reused by the next such build, which tracemalloc
+        # counts as live memory. gc.collect() empties the free lists, so no
+        # collection may run while the vectors are built and dropped.
+        w = [float(k) for k in range(15)]
+        mu = [1.5] * 15
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            WeightVector(w=w, mu=mu)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2500):
+                WeightVector(w=w, mu=mu)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert grown <= 16 * 1024
 
 
 class TestObjective:
@@ -421,6 +463,18 @@ class TestCachedPlan:
         # mesh10 has a coordinate whose endpoints share one halfspace
         assert any(h1 == h2 for h1, h2 in cons.endpoints)
 
+    def test_plans_hash_as_tuples_and_after_pickling(self):
+        import pickle
+
+        from drainsched.network import EndpointPlan
+
+        _, _, cons = two_flow_chain()
+        for plan in cons.endpoint_plans.values():
+            assert type(plan) is EndpointPlan
+            again = pickle.loads(pickle.dumps(plan))
+            assert type(again) is EndpointPlan and again == plan
+            assert hash(again) == hash(plan) == hash(tuple(plan))
+
     def test_divisor_modes_do_not_share_a_plan(self):
         from drainsched.experiments import bundled_preset_config
 
@@ -524,13 +578,31 @@ class TestSolveReviewOptimization:
             solve_review_optimization(wv, self.mesh10_constraints(), OptParams())
 
 
+def mesh10_solves(monkeypatch):
+    """(weights, constraints, params) of every solve of a 3000-slot mesh10 run."""
+    from drainsched import engine
+    from drainsched.experiments import bundled_preset_config
+
+    seen = []
+    solve = engine.solve_review_optimization
+
+    def recording(weights, constraints, params):
+        seen.append((weights, constraints, params))
+        return solve(weights, constraints, params)
+
+    monkeypatch.setattr(engine, "solve_review_optimization", recording)
+    engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
+    assert len(seen) > 100
+    return seen
+
+
 def public_reference_solve(weights, constraints, params):
     """The cyclic method written with the public projection functions that
     criterion 2 gates: one gradient step per coordinate, then
     alternating_project onto its endpoint halfspaces, then finalize_feasible.
     An all-zero objective skips the cycles, as the solver documents."""
     s = np.ones(constraints.n_coords)
-    wmu = weights.w * weights.mu
+    wmu = np.multiply(weights.w, weights.mu)
     if wmu.any():
         hs = constraints.halfspaces
         for _ in range(params.cycles):
@@ -551,20 +623,7 @@ class TestSolverMatchesPublicProjection:
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
     def test_mesh10_reviews(self, monkeypatch):
-        from drainsched import engine
-        from drainsched.experiments import bundled_preset_config
-
-        seen = []
-        solve = engine.solve_review_optimization
-
-        def recording(weights, constraints, params):
-            seen.append((weights, constraints, params))
-            return solve(weights, constraints, params)
-
-        monkeypatch.setattr(engine, "solve_review_optimization", recording)
-        engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
-        assert len(seen) > 100
-        for case in seen:
+        for case in mesh10_solves(monkeypatch):
             self.assert_matches(*case)
 
     def test_instance_stream(self):
@@ -644,14 +703,15 @@ def list_loop_cycles(plan, s, incs, wmu, cycles, projection_repeats):
     return s, broadcasts, trace
 
 
-def assert_same_cycles(weights, constraints, params):
-    """The kernel and list_loop_cycles, from the arguments the solver passes,
-    give the same bits."""
-    wmu = (weights.w * weights.mu).tolist()
+def assert_same_cycles(weights, constraints, params, kernel=None):
+    """The kernel (by default the set's cycle_kernel) and list_loop_cycles,
+    from the arguments the solver passes, give the same bits."""
+    wmu = np.multiply(weights.w, weights.mu).tolist()
     s = [1.0 if params.init_mode == "ones" else 0.0] * len(wmu)
     args = ([params.step_size * v for v in wmu], wmu, params.cycles, params.projection_repeats)
     mode = params.divisor_mode
-    got_s, got_broadcasts, got_trace = cycle_kernel(constraints, mode)(list(s), *args)
+    kernel = kernel or cycle_kernel(constraints, mode)
+    got_s, got_broadcasts, got_trace = kernel(list(s), *args)
     want_s, want_broadcasts, want_trace = list_loop_cycles(
         constraints.endpoint_plans[mode], list(s), *args
     )
@@ -691,22 +751,32 @@ class TestCycleKernel:
     """The generated kernel must give exactly the bits of the list loop."""
 
     def test_mesh10_reviews(self, monkeypatch):
-        from drainsched import engine
-        from drainsched.experiments import bundled_preset_config
-
-        seen = []
-        solve = engine.solve_review_optimization
-
-        def recording(weights, constraints, params):
-            seen.append((weights, constraints, params))
-            return solve(weights, constraints, params)
-
-        monkeypatch.setattr(engine, "solve_review_optimization", recording)
-        engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
-        assert len(seen) > 100
-        for weights, constraints, params in seen:
+        for weights, constraints, params in mesh10_solves(monkeypatch):
             for variant in KERNEL_VARIANTS:
                 assert_same_cycles(weights, constraints, replace(params, **variant))
+
+    def test_a_reordered_member_sum_fails_the_bit_check(self, monkeypatch):
+        # The check must see a change of rounding alone: the same kernel with
+        # one four-term member sum added right to left differs from the list
+        # loop on some mesh10 review.
+        from drainsched import optim
+
+        solves = mesh10_solves(monkeypatch)
+        source = optim._kernel_source(solves[0][1].endpoint_plans["coordinates"])
+        lines = source.splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines)
+                  if re.fullmatch(r" +t1 = s\d+( \+ s\d+){3}\n", line))
+        total, terms = lines[at].split(" = ")
+        lines[at] = f"{total} = {' + '.join(reversed(terms.strip().split(' + ')))}\n"
+        namespace = {}
+        exec("".join(lines), namespace)
+        failed = 0
+        for weights, constraints, params in solves:
+            try:
+                assert_same_cycles(weights, constraints, params, namespace["kernel"])
+            except AssertionError:
+                failed += 1
+        assert failed > 0
 
     def test_instance_stream(self):
         from drainsched.instances import instance_stream
@@ -807,7 +877,7 @@ class TestCycleKernel:
         cons = build_constraints(build_link_flow_index(spec), spec)
         source = cycle_kernel(cons, "coordinates").source
         assert hashlib.sha256(source.encode()).hexdigest() == (
-            "b67534513f1f178788bf10e03910067417f47abddc0a07bb5e61b82fc7bf21f8"
+            "368500f2a9d405bfd0cd0eccb2845199460e3b9fb9879c3c3612a9a811b5683f"
         )
 
 
