@@ -11,6 +11,16 @@ cannot be told apart, so the packet phase costs O(buckets) per slot, not
 O(packets), and a queue grows by at most one bucket per push, not by one
 entry per packet.
 
+Only a push that can meet an equal-slot tail tests for a merge. inject tests
+each packet it places. A slot's arrivals always open a bucket: the tail can
+hold that slot only after an inject of it, since the streams of one queue are
+folded into one count per slot. A link that forwards tests only its first
+piece against the next hop's tail; neighbouring buckets of the sending queue
+hold different slots, so every later piece opens a bucket. After an inject
+(or a clock set by hand) two neighbouring buckets may share a slot, and the
+pushes after them may not merge; no answer changes, because delays and counts
+add up per packet.
+
 A review fixes the slot schedule and the link rates until the next review,
 so the engine runs the packet phase one review window at a time
 (Simulation._advance): the engine state is loaded into locals once per call,
@@ -33,7 +43,12 @@ slot runs, which leaves the integral as it was.
 With invariant checking enabled the engine verifies, every slot, the exact
 queue bookkeeping identity (arrivals + receptions - transmissions), that each
 queue's bucket counts sum to its length, the global packet-count identity,
-and interference exclusivity of the links that actually transmitted.
+and interference exclusivity of the links that actually transmitted. The
+per-queue arrival, reception and transmission counters exist for that check
+alone: only a checked run and inject update them. A checked slot adds its
+arrivals from the block's drawn counts, not where the packets are pushed, so
+the first identity sees a lost arrival; transmissions and receptions move
+qlen with their counters, so only the bucket sums see a fault in the buckets.
 """
 
 from __future__ import annotations
@@ -76,7 +91,10 @@ class _Arrivals:
     slots at a time, and keeps one block at a time: slot t's count is the
     t-th draw of the substream, the value one poisson(rate, horizon) call
     gives it, whatever windows the slots are read in. All streams hold the
-    same block, and the engine reads it in place, by offset.
+    same block, and the engine reads it in place, by offset. Streams of one
+    queue (two flows of one (source, destination)) are folded into one count
+    list when a block loads, so the engine pushes at most one bucket per
+    queue per slot.
     """
 
     def __init__(self, streams: list[tuple[int, FlowMetrics, np.random.SeedSequence, float]],
@@ -88,9 +106,10 @@ class _Arrivals:
         self._blocks: list[tuple[int, FlowMetrics, list[int]]] = []
 
     def block(self, t: int) -> tuple[int, int, list[tuple[int, FlowMetrics, list[int]]]]:
-        """(base, end, streams) of the block holding slot t, 0 <= t < horizon:
-        it covers slots base .. end - 1, and each stream is (queue index, flow
-        record, counts), where counts[t - base] is slot t's count."""
+        """(base, end, queues) of the block holding slot t, 0 <= t < horizon:
+        it covers slots base .. end - 1, and each queue with a stream is
+        (queue index, flow record, counts), where counts[t - base] is slot
+        t's count, summed over the queue's streams."""
         b = t // ARRIVAL_BLOCK
         if b != self._index:
             self._load(b)
@@ -107,9 +126,13 @@ class _Arrivals:
             self._index += 1
             size = min(ARRIVAL_BLOCK, self._horizon - self._index * ARRIVAL_BLOCK)
             counts = [rng.poisson(rate, size) for rng, (*_, rate) in zip(self._rngs, self.streams)]
-        self._blocks = [
-            (qi, fm, block.tolist()) for (qi, fm, _, _), block in zip(self.streams, counts)
-        ]
+        by_queue: dict[int, tuple[FlowMetrics, list[int]]] = {}
+        for (qi, fm, _, _), block in zip(self.streams, counts):
+            block = block.tolist()
+            if qi in by_queue:  # Python ints: two counts near the int64 limit add exactly
+                block = list(map(operator.add, by_queue[qi][1], block))
+            by_queue[qi] = (fm, block)
+        self._blocks = [(qi, fm, block) for qi, (fm, block) in by_queue.items()]
 
 
 class Simulation:
@@ -342,16 +365,11 @@ class Simulation:
                 for qi, fm, arr in arrivals:
                     n_new = arr[i]
                     if n_new:
-                        b = born[qi]
-                        if b and b[-1] == t:
-                            count[qi][-1] += n_new
-                        else:
-                            b.append(t)
-                            count[qi].append(n_new)
+                        born[qi].append(t)
+                        count[qi].append(n_new)
                         qlen[qi] += n_new
                         qtime[qi] += n_new * t
                         fm.created += n_new
-                        arr_cum[qi] += n_new
 
                 active = slots[t - tp]
                 if active:
@@ -400,29 +418,41 @@ class Simulation:
                             # that length minus qbar from the head, so no
                             # packet moves twice in one slot; a piece merged
                             # into an equal-slot tail bucket is
-                            # indistinguishable from the rest of it.
+                            # indistinguishable from the rest of it. Only the
+                            # first piece can equal that tail: neighbouring
+                            # buckets of this queue hold different slots, so
+                            # each later piece opens a bucket of its own.
                             rb = born[rq]
                             rc = count[rq]
+                            n = cn[0]
+                            if n > rem:
+                                cn[0] = n - rem
+                                slot = b[0]
+                                n = rem
+                            else:
+                                cn.popleft()
+                                slot = b.popleft()
+                            if rb and rb[-1] == slot:
+                                rc[-1] += n
+                            else:
+                                rb.append(slot)
+                                rc.append(n)
+                            rem -= n
                             while rem:
                                 n = cn[0]
                                 if n > rem:
                                     cn[0] = n - rem
-                                    slot = b[0]
-                                    n = rem
-                                else:
-                                    cn.popleft()
-                                    slot = b.popleft()
+                                    rb.append(b[0])
+                                    rc.append(rem)
+                                    break
+                                rb.append(b.popleft())
+                                rc.append(cn.popleft())
                                 rem -= n
-                                if rb and rb[-1] == slot:
-                                    rc[-1] += n
-                                else:
-                                    rb.append(slot)
-                                    rc.append(n)
                             stage.append((rq, n_mv))
                         qlen[qi] -= n_mv
                         qtime[qi] -= n_mv * t
-                        tx_cum[qi] += n_mv
                         if check:
+                            tx_cum[qi] += n_mv
                             m = masks[k]
                             if txmask & m:
                                 self.interference_violations += 1
@@ -430,13 +460,18 @@ class Simulation:
                     for rq, n_mv in stage:
                         qlen[rq] += n_mv
                         qtime[rq] += n_mv * t
-                        rx_cum[rq] += n_mv
+                    if check:
+                        for rq, n_mv in stage:
+                            rx_cum[rq] += n_mv
 
                 if check:
+                    for qi, _, arr in arrivals:
+                        arr_cum[qi] += arr[i]
                     for qi in range(len(qlen)):
                         if qlen[qi] != arr_cum[qi] + rx_cum[qi] - tx_cum[qi]:
                             self.conservation_violations += 1
-                        # qlen moves with its counters, so only this sees the buckets.
+                        # Transmissions and receptions move qlen with their
+                        # counters, so only this sees a fault in the buckets.
                         if sum(count[qi]) != qlen[qi]:
                             self.conservation_violations += 1
                     created = sum(fm.created for fm in flows.values())

@@ -1,6 +1,7 @@
 import copy
 import gc
 import math
+import operator
 import sys
 import tracemalloc
 import types
@@ -12,7 +13,7 @@ import pytest
 
 from drainsched import engine
 from drainsched.config import parse_config, with_optimizer, with_run
-from drainsched.engine import MetricsReport, Simulation, run_simulation
+from drainsched.engine import FlowMetrics, MetricsReport, Simulation, run_simulation
 from drainsched.experiments import bundled_preset_config, export_metrics
 from drainsched.network import ConfigError
 from drainsched.optim import objective
@@ -51,6 +52,30 @@ run: {horizon_slots: 400, seeds: [1]}
 """
 
 
+# Three nodes in a line with arrivals at nodes 0 and 1: queue (1, 2) takes
+# both forwarded pieces and arrivals. {extra} adds flows.
+CHAIN_YAML = """
+network:
+  nodes: [[0.0, 0.0], [0.4, 0.0], [0.8, 0.0]]
+  links: [[0, 1], [1, 2]]
+  flows:
+    - {{source: 0, destination: 1, rate_pkts_per_slot: 0.4, routes: [[0, 1]]}}
+    - {{source: 0, destination: 2, rate_pkts_per_slot: {rate}, routes: [[0, 1, 2]]}}
+    - {{source: 1, destination: 2, rate_pkts_per_slot: 0.5, routes: [[1, 2]]}}
+{extra}
+channel: {{gain_model: fixed, fixed_gain: 8.0}}
+control:
+  safety_stock_pkts: 0
+  qos:
+    2: {{kind: hard_deadline, deadline_slots: 3, drop_ratio_target: 0.02}}
+run: {{horizon_slots: 3000, seeds: [1]}}
+"""
+
+
+def chain_config(rate=0.7, extra=""):
+    return parse_config(CHAIN_YAML.format(rate=rate, extra=extra))
+
+
 DEADLINE_LINK_YAML = """
 network:
   nodes: [[0.0, 0.0], [0.5, 0.0]]
@@ -71,22 +96,36 @@ def packets(sim, qi):
     return [b for b, n in zip(sim._born[qi], sim._count[qi]) for _ in range(n)]
 
 
-def step_against_per_packet_reference(sim, forward, slots):
-    """Step sim and a per-packet deque model of it side by side.
+def step_against_per_packet_reference(sim, forward, slots, before_slot=None):
+    """Step a checked sim and a per-packet deque model of it side by side.
 
-    The reference moves as many packets per queue as the engine transmitted
+    Each slot the reference first appends the slot's arrivals (arr_cum
+    delta), then moves as many packets per queue as the engine transmitted
     (tx_cum delta), one popleft each, FIFO; queue qi forwards to forward[qi]
-    or delivers when absent. Every slot the engine's buckets, expanded, must
-    equal the reference queues; the delivery statistics are returned.
+    or delivers when absent. before_slot(sim), if given, runs before each
+    step and returns the packets it injected, as (queue index, creation
+    slots) pairs, which the reference appends too. Every slot the engine's
+    buckets, expanded, must equal the reference queues; the per-flow
+    statistics from the first slot on are returned.
     """
+    assert sim._check, "the reference reads the counters of a checked run"
     ref = [deque(packets(sim, qi)) for qi in range(len(sim._qkeys))]
     deadline = sim._deadline
-    stats = {fid: {"delivered": 0, "delay_sum": 0, "late": 0, "hist": {}}
+    stats = {fid: {"created": 0, "delivered": 0, "delay_sum": 0, "late": 0, "hist": {}}
              for fid in sim._flows}
     for _ in range(slots):
+        if before_slot is not None:
+            for qi, created in before_slot(sim):
+                ref[qi].extend(created)
+                stats[sim._qkeys[qi][1]]["created"] += len(created)
         t = sim.t
+        arr_before = list(sim._arr_cum)
         tx_before = list(sim._tx_cum)
         sim.step()
+        for qi, (_, fid) in enumerate(sim._qkeys):
+            n_new = sim._arr_cum[qi] - arr_before[qi]
+            ref[qi].extend([t] * n_new)
+            stats[fid]["created"] += n_new
         staged = []
         for qi, (_, fid) in enumerate(sim._qkeys):
             for _ in range(sim._tx_cum[qi] - tx_before[qi]):
@@ -218,7 +257,7 @@ class TestStepSlot:
 class TestBucketQueues:
     def test_non_monotone_inject_matches_per_packet_reference(self):
         cfg = parse_config(DEADLINE_LINK_YAML)
-        sim = Simulation(cfg, seed=1)
+        sim = Simulation(cfg, seed=1, check_invariants=True)
         sim.t = 10
         sim.t_rev = 10
         sim.inject(0, 1, [4, 4, 2, 4, 3, 3, 3, 9])
@@ -244,7 +283,7 @@ class TestBucketQueues:
 
     def test_forwarded_bucket_merges_into_downstream_tail(self):
         cfg = parse_config(TWO_HOP_YAML)
-        sim = Simulation(cfg, seed=1)
+        sim = Simulation(cfg, seed=1, check_invariants=True)
         sim.inject(0, 2, [0] * 6 + [1] * 6)
         sim.inject(1, 2, [0] * 12)
         # queue 0 is node 0 (forwards to node 1), queue 1 is node 1 (delivers)
@@ -304,10 +343,74 @@ class TestBucketQueues:
             born = list(sim._born[qi])
             assert sum(sim._count[qi]) == sim._qlen[qi]
             assert len(born) <= sim.t
-            # pushes merge into an equal tail, so neighbours never share a slot
+            # a push that can meet an equal tail merges into it, so
+            # neighbours never share a slot
             assert all(a != b for a, b in zip(born, born[1:]))
         buckets = sum(len(born) for born in sim._born)
         assert sum(sim._qlen) > 5 * buckets
+
+    @pytest.mark.parametrize("build", [lambda: parse_config(TWO_HOP_YAML), chain_config],
+                             ids=["two-hop", "chain"])
+    def test_random_injects_and_rates_match_per_packet_reference(self, build):
+        # Non-monotone injects, some of them of the slot about to run, put
+        # equal-slot buckets next to each other, where arrivals and forwarded
+        # pieces do not merge; random active links and rates split head
+        # buckets anywhere. No packet and no statistic may change.
+        cfg = build()
+        for case in range(150):
+            rng = np.random.default_rng(case)
+            sim = Simulation(cfg, seed=case + 1, horizon=40, check_invariants=True)
+            forward = {qi: rq for qi, rq, *_ in sim._coords if rq >= 0}
+            coords = len(sim._coords)
+
+            def before_slot(sim):
+                t = sim.t
+                injected = []
+                for qi, (node, fid) in enumerate(sim._qkeys):
+                    if rng.random() < 0.4:
+                        created = rng.integers(max(0, t - 4), t + 1, rng.integers(1, 6)).tolist()
+                        sim.inject(node, fid, created)
+                        injected.append((qi, created))
+                # no review: the slot runs under a random active set and rates
+                sim.t_prev, sim.t_rev = t, t + 1
+                sim._slots = (tuple(k for k in range(coords) if rng.random() < 0.6),)
+                sim._fmu = rng.integers(0, 5, coords).tolist()
+                return injected
+
+            stats = step_against_per_packet_reference(sim, forward, 40, before_slot)
+            for fid, fm in sim.report().flows.items():
+                st = stats[fid]
+                n, late, delay_sum = st["delivered"], st["late"], st["delay_sum"]
+                assert fm == FlowMetrics(
+                    created=st["created"], delivered=n, on_time=n - late, late=late,
+                    delay_sum=delay_sum,
+                    mean_delay=delay_sum / n if n else None,
+                    drop_ratio=late / n if n else None,
+                    histogram=st["hist"],
+                ), (case, fid)
+            assert sim.conservation_violations == 0, case
+
+    def test_two_flows_of_one_source_and_destination(self):
+        # Their two streams fold into one count list per slot, so the queue
+        # still gets one bucket per slot with arrivals, and an overloaded run
+        # never puts two buckets of one slot next to each other.
+        extra = "    - {source: 0, destination: 2, rate_pkts_per_slot: 0.5, routes: [[0, 1, 2]]}"
+        sim = Simulation(chain_config(rate=0.6, extra=extra), seed=1, horizon=3000,
+                         check_invariants=True)
+        qi = sim._qkeys.index((0, 2))
+        assert [q for q, *_ in sim._arrivals.streams].count(qi) == 2
+        _, _, blocks = sim._arrivals.block(0)
+        assert [q for q, *_ in blocks] == [0, qi, 2]
+        # streams 1 and 2 in (source, destination) order are the two flows
+        assert blocks[1][2] == list(map(operator.add, one_shot(0.6, 3000, 1, 1),
+                                        one_shot(0.5, 3000, 1, 2)))
+        rep = sim.run()
+        assert rep.conservation_violations == rep.interference_violations == 0
+        assert sim._arr_cum[qi] == sum(blocks[1][2])
+        for born in sim._born:
+            born = list(born)
+            assert all(a != b for a, b in zip(born, born[1:]))
+        assert len(sim._born[qi]) > 100
 
 
 class TestRunSimulation:
@@ -562,6 +665,20 @@ class TestWindowLoop:
         if kwargs.get("check_invariants"):
             assert by_run.conservation_violations == by_run.interference_violations == 0
 
+    @pytest.mark.parametrize("build", [bundled_preset_config, longwin_config],
+                             ids=["mesh10", "longwin"])
+    def test_unchecked_run_exports_the_checked_bytes(self, tmp_path, build):
+        # An unchecked run keeps no conservation counters; nothing it exports
+        # may differ from a checked one.
+        plain = Simulation(build(), seed=1, horizon=3000)
+        checked = Simulation(build(), seed=1, horizon=3000, check_invariants=True)
+        by_plain, by_checked = plain.run(), checked.run()
+        assert export_bytes(by_plain, tmp_path / "plain.json") == \
+            export_bytes(by_checked, tmp_path / "checked.json")
+        assert by_checked.conservation_violations == by_checked.interference_violations == 0
+        assert plain._arr_cum == plain._rx_cum == plain._tx_cum == [0] * len(plain._qkeys)
+        assert sum(checked._arr_cum) == sum(fm.created for fm in by_checked.flows.values())
+
     def test_trace_file_matches_step_loop(self, tmp_path):
         exports = []
         traces = []
@@ -701,7 +818,8 @@ class TestBlockArrivals:
     def test_mesh_run_and_step_loop_draw_the_one_shot_counts(self, monkeypatch, block):
         monkeypatch.setattr(engine, "ARRIVAL_BLOCK", block)
         horizon = 1500
-        by_step = Simulation(bundled_preset_config(), seed=2, horizon=horizon)
+        by_step = Simulation(bundled_preset_config(), seed=2, horizon=horizon,
+                             check_invariants=True)
         ref = one_shot_arrivals(by_step)
         assert len(ref) == 5
         for t in range(horizon):
@@ -709,7 +827,8 @@ class TestBlockArrivals:
             by_step.step()
             for qi, counts in ref.items():
                 assert by_step._arr_cum[qi] - before[qi] == counts[t]
-        by_run = Simulation(bundled_preset_config(), seed=2, horizon=horizon)
+        by_run = Simulation(bundled_preset_config(), seed=2, horizon=horizon,
+                            check_invariants=True)
         assert by_run.run() == by_step.report()
         assert by_run._arr_cum == by_step._arr_cum
 
@@ -721,21 +840,24 @@ class TestBlockArrivals:
         # end of the arrival block and goes on in the next block under the
         # same schedule; step() reads one slot.
         monkeypatch.setattr(engine, "ARRIVAL_BLOCK", block)
-        by_run = Simulation(bundled_preset_config(), seed=1, horizon=horizon)
+        by_run = Simulation(bundled_preset_config(), seed=1, horizon=horizon,
+                            check_invariants=True)
         report = by_run.run()
         straddling = [
             p for p in report.periods
             if (p.start + 1) // block != (min(p.start + p.window, horizon) - 1) // block
         ]
         assert straddling
-        by_step = Simulation(bundled_preset_config(), seed=1, horizon=horizon)
+        by_step = Simulation(bundled_preset_config(), seed=1, horizon=horizon,
+                             check_invariants=True)
         step_to(by_step, horizon)
         assert export_bytes(report, tmp_path / "run.json") == \
             export_bytes(by_step.report(), tmp_path / "step.json")
         assert by_run._arr_cum == by_step._arr_cum
 
     def test_clock_set_by_hand_reads_the_same_counts(self):
-        sim = Simulation(bundled_preset_config(), seed=3, horizon=3 * engine.ARRIVAL_BLOCK)
+        sim = Simulation(bundled_preset_config(), seed=3, horizon=3 * engine.ARRIVAL_BLOCK,
+                         check_invariants=True)
         ref = one_shot_arrivals(sim)
         # forward into a later block, then back into the first
         for t in (2 * engine.ARRIVAL_BLOCK + 17, engine.ARRIVAL_BLOCK - 1, 281):
