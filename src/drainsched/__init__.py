@@ -54,6 +54,6 @@ from .optim import (
     solve_review_optimization,
     theorem_gap_bound,
 )
-from .oracle import ORACLE_MAX_COORDS, oracle_solve
+from .oracle import oracle_solve
 
 __version__ = "0.1.0"

@@ -78,6 +78,10 @@ def _random_topology(rng) -> NetworkSpec | None:
 
 def random_instance(seed: int, max_coords: int = 6) -> RandomInstance:
     """Deterministically generate one instance with 2..max_coords coordinates."""
+    # Every topology has at least 2 coordinates: a smaller bound (or NaN)
+    # would reject every draw and never return.
+    if not max_coords >= 2:
+        raise ValueError(f"max_coords must be >= 2, got {max_coords!r}")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(INSTANCE_DOMAIN,))
     )

@@ -1,25 +1,26 @@
-"""Exact reference solver for the review LP, by vertex enumeration.
+"""Exact reference solver for the review LP, by a rational simplex.
 
-The feasible set is {0 <= s <= 1, member sums <= 1 per halfspace}; the
-maximum of a linear objective is attained at a vertex, and every vertex is
-determined by some choice of m tight halfspaces plus box faces (0 or 1) for
-the remaining coordinates. All such candidates are enumerated, filtered for
-feasibility, and the best objective wins. Exponential in the coordinate
-count, hence the hard size guard.
+The review LP is the packing LP: maximise c.s subject to A s <= 1 (one row
+per halfspace, A its 0/1 membership), s <= 1 and s >= 0, with cost
+c_k = w_k * mu_k. Every right-hand side is 1, so the slack basis is
+feasible and the simplex starts there. Pivots follow Bland's rule (Bland,
+Math. Oper. Res. 1977), which cannot cycle, and every entry is a
+fractions.Fraction, so the optimum is exact (Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 2007). No size limit and no tolerance.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
 from .network import ConstraintSet
 from .optim import WeightVector
 
-ORACLE_MAX_COORDS = 12
-_FEAS_TOL = 1e-9
-_DET_TOL = 0.5  # membership matrices are 0/1, so nonsingular means |det| >= 1
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def oracle_solve(
@@ -27,70 +28,57 @@ def oracle_solve(
 ) -> tuple[np.ndarray, float]:
     """Globally maximize the review objective over the constraint polytope.
 
-    Returns (argmax vector, optimal value). Ties keep the first candidate in
-    the deterministic enumeration order, which starts at the all-zeros
-    vertex. Refuses instances with more than ORACLE_MAX_COORDS coordinates.
+    Returns (argmax vector, optimal value): the optimal vertex Bland's rule
+    reaches, each coordinate rounded to float, and the exact optimum rounded
+    once to float. Each cost is the float product w[k] * mu[k], taken as
+    exact. Raises ValueError when a product, or the optimum, is not finite.
     """
     n = constraints.n_coords
-    if n > ORACLE_MAX_COORDS:
-        raise ValueError(
-            f"oracle_solve enumerates vertices and is limited to "
-            f"{ORACLE_MAX_COORDS} coordinates, got {n}"
-        )
     if weights.n_coords != n:
         raise ValueError(f"weights have {weights.n_coords} coordinates, constraints {n}")
+    cost = [w * mu for w, mu in zip(weights.w, weights.mu)]
+    for k, c in enumerate(cost):
+        if not math.isfinite(c):
+            raise ValueError(f"w and mu too large: the cost w[{k}] * mu[{k}] is {c!r}")
 
-    cost = np.asarray(weights.w, dtype=float) * np.asarray(weights.mu, dtype=float)
-    n_half = len(constraints.halfspaces)
-    membership = np.zeros((n_half, n))
-    for hi, h in enumerate(constraints.halfspaces):
-        membership[hi, list(h.members)] = 1.0
+    # Dictionary form: basic variable i equals rows[i][n] - sum_j rows[i][j] x_j
+    # over the nonbasic variables x_j, and the objective is -obj[n] +
+    # sum_j obj[j] x_j. Variable k < n is s_k; variable n + i is row i's
+    # slack. The rows are the halfspaces, then the bounds s_k <= 1.
+    groups = [*map(frozenset, constraints.member_groups), *({k} for k in range(n))]
+    rows = [[_ONE if k in g else _ZERO for k in range(n)] + [_ONE] for g in groups]
+    obj = [Fraction(c) for c in cost] + [_ZERO]
+    nonbasic = list(range(n))
+    basic = list(range(n, n + len(rows)))
+    while True:
+        # Bland: the lowest-labelled improving variable enters, and ratio
+        # ties leave by the lowest basic label.
+        improving = [j for j in range(n) if obj[j] > 0]
+        if not improving:
+            break
+        c = min(improving, key=nonbasic.__getitem__)
+        r = min(
+            (i for i, row in enumerate(rows) if row[c] > 0),
+            key=lambda i: (rows[i][n] / rows[i][c], basic[i]),
+        )
+        pivot = rows[r]
+        p = pivot[c]
+        pivot[:] = [x / p for x in pivot]
+        pivot[c] = 1 / p
+        support = [j for j in range(n + 1) if j != c and pivot[j]]
+        for row in rows + [obj]:
+            f = row[c]
+            if f and row is not pivot:
+                for j in support:
+                    row[j] -= f * pivot[j]
+                row[c] = -f / p
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
 
-    grids = {
-        nf: np.array(list(itertools.product((0.0, 1.0), repeat=nf)))
-        if nf
-        else np.zeros((1, 0))
-        for nf in range(n + 1)
-    }
-
-    best_val = -np.inf
-    best_s: np.ndarray | None = None
-    all_coords = list(range(n))
-
-    for m in range(0, min(n_half, n) + 1):
-        for tight in itertools.combinations(range(n_half), m):
-            rows = membership[list(tight)]
-            for solved in itertools.combinations(all_coords, m):
-                sub = rows[:, list(solved)]
-                if m:
-                    if abs(np.linalg.det(sub)) < _DET_TOL:
-                        continue
-                solved_set = set(solved)
-                fixed = [i for i in all_coords if i not in solved_set]
-                grid = grids[len(fixed)]
-                if m:
-                    rhs = 1.0 - grid @ rows[:, fixed].T
-                    solved_vals = np.linalg.solve(sub, rhs.T).T
-                else:
-                    solved_vals = np.zeros((grid.shape[0], 0))
-                cand = np.empty((grid.shape[0], n))
-                if fixed:
-                    cand[:, fixed] = grid
-                if m:
-                    cand[:, list(solved)] = solved_vals
-                ok = (
-                    (cand >= -_FEAS_TOL).all(axis=1)
-                    & (cand <= 1.0 + _FEAS_TOL).all(axis=1)
-                    & ((cand @ membership.T) <= 1.0 + _FEAS_TOL).all(axis=1)
-                )
-                if not ok.any():
-                    continue
-                feas = cand[ok]
-                vals = feas @ cost
-                j = int(np.argmax(vals))
-                if float(vals[j]) > best_val:
-                    best_val = float(vals[j])
-                    best_s = feas[j].copy()
-
-    assert best_s is not None  # all-zeros is always feasible
-    return best_s, best_val
+    s = np.zeros(n)
+    for i, label in enumerate(basic):
+        if label < n:
+            s[label] = float(rows[i][n])
+    try:
+        return s, float(-obj[n])
+    except OverflowError:
+        raise ValueError("w and mu too large: the optimum is beyond the float range") from None

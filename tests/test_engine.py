@@ -37,6 +37,22 @@ def single_link_config(rate=0.85, gain=2.0, stock=0, horizon=1000):
                                                 horizon=horizon))
 
 
+def record_reviews(cfg, seed):
+    """Run cfg; return each review's (schedule, weights, constraints) and the report."""
+    seen = []
+    solve = engine.solve_review_optimization
+
+    def recording(weights, constraints, params):
+        s, diag = solve(weights, constraints, params)
+        seen.append((s, weights, constraints))
+        return s, diag
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "solve_review_optimization", recording)
+        rep = run_simulation(cfg, seed=seed)
+    return seen, rep
+
+
 TWO_HOP_YAML = """
 network:
   nodes: [[0.0, 0.0], [0.4, 0.0], [0.8, 0.0]]
@@ -479,23 +495,18 @@ class TestRunSimulation:
                     floor_seen[qi] = (before[qi], after)
         assert floor_seen == {}
 
-    def test_reviews_never_beat_the_exact_lp_on_small_net(self, monkeypatch):
+    def test_reviews_never_beat_the_exact_lp_on_small_net(self):
         # Record the solver's inputs at every review of the engine, then check
         # each schedule against the exact LP optimum of the same inputs.
-        seen = []
-        solve = engine.solve_review_optimization
-
-        def recording(weights, constraints, params):
-            s, diag = solve(weights, constraints, params)
-            seen.append((s, weights, constraints))
-            return s, diag
-
-        monkeypatch.setattr(engine, "solve_review_optimization", recording)
-        cfg = single_link_config(rate=0.85, gain=2.0, stock=0, horizon=300)
-        rep = run_simulation(cfg, seed=3)
-        assert seen and len(seen) == len(rep.periods)
-        for s, wv, cons in seen:
-            assert objective(s, wv) <= oracle_solve(wv, cons)[1] + 1e-9
+        for cfg in (single_link_config(rate=0.85, gain=2.0, stock=0, horizon=300),
+                    with_run(bundled_preset_config(), horizon_slots=300)):
+            seen, rep = record_reviews(cfg, seed=3)
+            assert seen and len(seen) == len(rep.periods)
+            for s, wv, cons in seen:
+                argmax, value = oracle_solve(wv, cons)
+                assert cons.feasible(argmax)
+                assert value == pytest.approx(objective(argmax, wv), abs=1e-9)
+                assert objective(s, wv) <= value + 1e-9
 
     def test_mesh_delay_at_ten_cycles_in_expected_band(self):
         # At 10 optimizer cycles the mesh settles near 13 slots mean delay for
