@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
-
 from .network import ConfigError, ConstraintSet, is_integer
 
 if TYPE_CHECKING:
@@ -113,7 +111,8 @@ class SlotSchedule:
     """Realized 0/1 activations for one review window.
 
     active_by_offset[off] lists the active coordinates of the window's slot
-    off in ascending order. assigned and quota are per coordinate.
+    off in ascending order, for each realized slot. assigned counts each
+    coordinate's realized slots, quota its share of the whole window.
     """
 
     window: int
@@ -134,17 +133,26 @@ class SlotSchedule:
         return bad
 
 
-def build_slot_schedule(s, window: int, constraints: ConstraintSet) -> SlotSchedule:
-    """Greedily realize the time fractions as conflict-free slot activations.
+def build_slot_schedule(
+    s, window: int, constraints: ConstraintSet, slots: int | None = None
+) -> SlotSchedule:
+    """Greedily realize the time fractions s (any 1-d sequence of numbers) as
+    conflict-free slot activations.
 
     Coordinates are visited in index order (node, then link, then flow); each
     claims the earliest slots that conflict with nothing already assigned,
     up to its quota. The quota is floor(s_k * window), plus one slot when the
     fractional remainder exceeds one half.
+
+    Only the window's first min(window, slots) slots are realized (all of
+    them by default). Quotas still come from the whole window, and since
+    slots are claimed earliest first, the realized slots are exactly the
+    first slots of the whole window's schedule.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1 slot, got {window}")
-    s = np.asarray(s, dtype=float).tolist()
+    reach = window if slots is None else min(window, slots)
+    s = list(map(float, s))
     n = constraints.n_coords
     if len(s) != n:
         raise ValueError(f"schedule vector has {len(s)} coordinates, constraints {n}")
@@ -156,10 +164,10 @@ def build_slot_schedule(s, window: int, constraints: ConstraintSet) -> SlotSched
         q = floor(target)
         quota.append(q + 1 if target - q > 0.5 else q)
 
-    busy = [0] * window
-    active: list[list[int]] = [[] for _ in range(window)]
+    busy = [0] * reach
+    active: list[list[int]] = [[] for _ in range(reach)]
     assigned = [0] * n
-    offsets = range(window)
+    offsets = range(reach)
     for k, mk in enumerate(constraints.masks):
         need = quota[k]
         if need <= 0:

@@ -67,7 +67,7 @@ from .config import RunParams, SimConfig
 from .control import build_slot_schedule, next_review_time, update_qos_weights
 from .network import ConfigError, build_constraints, build_link_flow_index
 from .optim import WeightVector, solve_review_optimization
-from .report import FlowMetrics, MetricsReport, PeriodLog, PeriodRecord, Periods
+from .report import MAX_WINDOW, FlowMetrics, MetricsReport, PeriodLog, PeriodRecord, Periods
 
 ARRIVAL_STREAM = 1  # seed-sequence domain tag, disjoint from the channel tag
 ARRIVAL_BLOCK = 4096  # slots of Poisson counts a stream draws at a time
@@ -274,7 +274,15 @@ class Simulation:
         total_backlog = sum(qlen)
         self.t_prev = t
         self.t_rev = next_review_time(t, total_backlog, cfg.control.a1, cfg.control.a2)
-        schedule = build_slot_schedule(s, self.t_rev - t, self.constraints)
+        window = self.t_rev - t
+        if window > MAX_WINDOW:
+            raise ConfigError(
+                f"control.a1/control.a2: review window a1 * ln(1 + a2 * backlog) = {window:.4g}"
+                f" slots exceeds 2**63 - 1, the longest a period log holds"
+                f" (a1={cfg.control.a1!r}, a2={cfg.control.a2!r}, backlog {total_backlog!r})"
+            )
+        # Slots at or past the horizon never run, so they are not realized.
+        schedule = build_slot_schedule(s, window, self.constraints, self.horizon - t)
         if self._check:
             self.interference_violations += schedule.count_violations(self.constraints)
         self._slots = schedule.active_by_offset

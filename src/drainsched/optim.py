@@ -130,12 +130,14 @@ class OptDiagnostics:
 
 
 def objective(s, weights: WeightVector) -> float:
-    """sum_k w_k * mu_k * s(k)."""
+    """sum_k w_k * mu_k * s(k), the package's one dot product; the solver's
+    final_objective is this value. Each w_k * mu_k is one IEEE multiply, as
+    in the solver."""
+    wmu = list(map(operator.mul, weights.w, weights.mu))
     s = np.asarray(s, dtype=float)
-    w = np.asarray(weights.w, dtype=float)
-    if s.shape != w.shape:
-        raise ValueError(f"dimension mismatch: schedule has {s.shape}, weights have {w.shape}")
-    return float(np.dot(w * np.asarray(weights.mu, dtype=float), s))
+    if s.shape != (len(wmu),):
+        raise ValueError(f"dimension mismatch: schedule has {s.shape}, weights have {(len(wmu),)}")
+    return float(np.dot(wmu, s))
 
 
 def project_onto_halfspace(s, h: Halfspace) -> np.ndarray:
@@ -184,13 +186,13 @@ def alternating_project(s, h1: Halfspace, h2: Halfspace, repeats: int) -> np.nda
     return out
 
 
-def finalize_feasible(s, constraints: ConstraintSet) -> np.ndarray:
+def finalize_feasible(s, constraints: ConstraintSet) -> list[float]:
     """Clamp negatives to zero, then rescale every oversubscribed halfspace.
 
     Halfspaces are visited in their fixed construction order; dividing a
     member group by its sum can only lower other groups' sums, so a single
     pass lands inside the polytope with every coordinate in [0, 1]. Accepts
-    any 1-d sequence of numbers and returns a new float ndarray.
+    any 1-d sequence of numbers and returns a new list of floats.
     """
     # Group sums run left to right from 0.0, as the solver's do; numpy sums
     # fewer than 8 elements the same way (larger groups it sums pairwise).
@@ -204,7 +206,7 @@ def finalize_feasible(s, constraints: ConstraintSet) -> np.ndarray:
         if total > 1.0:
             for q in m:
                 out[q] /= total
-    return np.array(out, dtype=float)
+    return out
 
 
 def theorem_gap_bound(step_size: float, n_coords: int, c2: float) -> tuple[float, float]:
@@ -222,8 +224,8 @@ def theorem_gap_bound(step_size: float, n_coords: int, c2: float) -> tuple[float
 
 def solve_review_optimization(
     weights: WeightVector, constraints: ConstraintSet, params: OptParams
-) -> tuple[np.ndarray, OptDiagnostics]:
-    """Run the cyclic ascent and return a feasible schedule plus diagnostics.
+) -> tuple[list[float], OptDiagnostics]:
+    """Run the cyclic ascent; return a feasible schedule (a list) and diagnostics.
 
     Each cycle visits every coordinate once in index order: one gradient
     step, then the endpoint-halfspace repair. After the last cycle the
@@ -274,7 +276,7 @@ def solve_review_optimization(
     )
 
     out = finalize_feasible(s, constraints)
-    final = float(np.dot(wmu, out))
+    final = objective(out, weights)
     # An infinite product w[k] * mu[k] makes the objective inf or NaN.
     if not final < math.inf:
         raise ValueError(f"w and mu too large: the objective sum(w * mu * s) is {final!r}")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .network import ConstraintSet
 from .optim import WeightVector
 
@@ -25,13 +23,13 @@ _ONE = Fraction(1)
 
 def oracle_solve(
     weights: WeightVector, constraints: ConstraintSet
-) -> tuple[np.ndarray, float]:
+) -> tuple[list[float], float]:
     """Globally maximize the review objective over the constraint polytope.
 
-    Returns (argmax vector, optimal value): the optimal vertex Bland's rule
-    reaches, each coordinate rounded to float, and the exact optimum rounded
-    once to float. Each cost is the float product w[k] * mu[k], taken as
-    exact. Raises ValueError when a product, or the optimum, is not finite.
+    Returns (argmax, optimal value): the optimal vertex Bland's rule reaches,
+    as a list of floats, and the exact optimum rounded once to float. Each
+    cost is the float product w[k] * mu[k], taken as exact. Raises ValueError
+    when a product, or the optimum, is not finite.
     """
     n = constraints.n_coords
     if weights.n_coords != n:
@@ -74,7 +72,7 @@ def oracle_solve(
                 row[c] = -f / p
         basic[r], nonbasic[c] = nonbasic[c], basic[r]
 
-    s = np.zeros(n)
+    s = [0.0] * n
     for i, label in enumerate(basic):
         if label < n:
             s[label] = float(rows[i][n])

@@ -66,6 +66,7 @@ _SCALARS = {
     "handoff_messages": "q",
     "excess_broadcasts": "q",
 }
+MAX_WINDOW = 2**63 - 1  # the longest review window the int64 ("q") column holds
 
 
 class PeriodLog:

@@ -127,6 +127,15 @@ class TestRunCommand:
         assert status == 1
         assert "config error: control.a1/control.a2: review window" in capsys.readouterr().err
 
+    def test_review_window_beyond_the_period_log_is_config_error(self, tmp_path, capsys):
+        # Finite, but ~2.9e300 slots: more than the int64 window column holds.
+        text = resources.files("drainsched.presets").joinpath("mesh10.yaml").read_text()
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text.replace("  a1: 1.0\n", "  a1: 1.0e+300\n"))
+        status = main(["run", "--config", str(bad), "--out", str(tmp_path), "--horizon", "50"])
+        assert status == 1
+        assert "config error: control.a1/control.a2: review window" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code_2(self, tmp_path, capsys):
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),
                        "--out", str(tmp_path)])

@@ -195,6 +195,31 @@ class TestBuildSlotSchedule:
                 assert sched.assigned[k] <= window
             assert sched.count_violations(cons) == 0
 
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    def test_reads_any_1d_sequence(self, form):
+        entries, cons = star_constraints(3)
+        sched = build_slot_schedule(form([0.4, 0.4, 0.4]), 10, cons)
+        assert sched.assigned == (4, 4, 2) and sched.quota == (4, 4, 4)
+
+    def test_realizes_only_the_first_slots(self):
+        # Quotas come from the whole window; the realized slots are the
+        # whole schedule's first ones.
+        entries, cons = star_constraints(3)
+        whole = build_slot_schedule([0.4, 0.4, 0.4], 10, cons)
+        for slots in (1, 3, 5, 9, 10, 50):
+            part = build_slot_schedule([0.4, 0.4, 0.4], 10, cons, slots)
+            assert part.window == 10 and part.quota == whole.quota
+            assert part.active_by_offset == whole.active_by_offset[:slots]
+            assert part.assigned == tuple(
+                sum(k in active for active in part.active_by_offset) for k in range(3)
+            )
+
+    def test_huge_window_costs_only_its_realized_slots(self):
+        entries, cons = star_constraints(1)
+        sched = build_slot_schedule([0.5], 10**300, cons, 4)
+        assert sched.window == 10**300 and sched.quota == (math.floor(0.5 * 10**300),)
+        assert sched.active_by_offset == ((0,),) * 4 and sched.assigned == (4,)
+
     def test_window_must_be_positive(self):
         entries, cons = star_constraints(1)
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import longwin_config, record_reviews
 from drainsched import engine
 from drainsched.config import parse_config, with_optimizer, with_run
 from drainsched.engine import FlowMetrics, MetricsReport, Simulation, run_simulation
@@ -18,7 +19,6 @@ from drainsched.experiments import bundled_preset_config, export_metrics
 from drainsched.network import ConfigError
 from drainsched.optim import objective
 from drainsched.oracle import oracle_solve
-from test_export_digest import longwin_config
 
 SINGLE_LINK_YAML = """
 network:
@@ -35,22 +35,6 @@ run: {{horizon_slots: {horizon}, seeds: [3]}}
 def single_link_config(rate=0.85, gain=2.0, stock=0, horizon=1000):
     return parse_config(SINGLE_LINK_YAML.format(rate=rate, gain=gain, stock=stock,
                                                 horizon=horizon))
-
-
-def record_reviews(cfg, seed):
-    """Run cfg; return each review's (schedule, weights, constraints) and the report."""
-    seen = []
-    solve = engine.solve_review_optimization
-
-    def recording(weights, constraints, params):
-        s, diag = solve(weights, constraints, params)
-        seen.append((s, weights, constraints))
-        return s, diag
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "solve_review_optimization", recording)
-        rep = run_simulation(cfg, seed=seed)
-    return seen, rep
 
 
 TWO_HOP_YAML = """
@@ -502,7 +486,7 @@ class TestRunSimulation:
                     with_run(bundled_preset_config(), horizon_slots=300)):
             seen, rep = record_reviews(cfg, seed=3)
             assert seen and len(seen) == len(rep.periods)
-            for s, wv, cons in seen:
+            for wv, cons, _, s, _ in seen:
                 argmax, value = oracle_solve(wv, cons)
                 assert cons.feasible(argmax)
                 assert value == pytest.approx(objective(argmax, wv), abs=1e-9)
@@ -920,6 +904,42 @@ class TestHorizon:
         with pytest.raises(ValueError, match="horizon"):
             sim.step()
         assert len(sim.periods) == 0
+
+    @staticmethod
+    def with_a1(a1):
+        cfg = bundled_preset_config()
+        return replace(cfg, control=replace(cfg.control, a1=a1))
+
+    def test_window_past_the_horizon_is_realized_up_to_it(self):
+        # The second review's window is ~2.9e9 slots; only its 49 slots
+        # before the horizon are realized.
+        rep = run_simulation(self.with_a1(1.0e9), seed=1, horizon=50)
+        assert [p.window for p in rep.periods] == [1, 2944438979]
+
+    def test_window_beyond_the_period_log_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^control\.a1/control\.a2: review window .* "
+                                              r"exceeds 2\*\*63 - 1"):
+            run_simulation(self.with_a1(1.0e300), seed=1, horizon=50)
+
+    def test_realized_slots_are_the_first_of_the_whole_window(self, monkeypatch):
+        calls = []
+        build = engine.build_slot_schedule
+
+        def recording(s, window, constraints, slots=None):
+            schedule = build(s, window, constraints, slots)
+            calls.append((s, window, constraints, slots, schedule))
+            return schedule
+
+        monkeypatch.setattr(engine, "build_slot_schedule", recording)
+        rep = run_simulation(bundled_preset_config(), seed=1, horizon=3000)
+        assert len(calls) == len(rep.periods) > 100
+        clipped = 0
+        for s, window, constraints, slots, schedule in calls:
+            whole = build(s, window, constraints)
+            assert schedule.window == window and schedule.quota == whole.quota
+            assert schedule.active_by_offset == whole.active_by_offset[:slots]
+            clipped += slots < window
+        assert clipped == 1
 
 
 class TestMemoryBound:

@@ -13,28 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-from drainsched.config import with_qos
-from drainsched.control import QosSpec
+from conftest import longwin_config
 from drainsched.engine import run_simulation
-from drainsched.experiments import (
-    TABLE2_ROWS,
-    TABLE2_THETA,
-    bundled_preset_config,
-    export_metrics,
-    run_experiment,
-)
-
-
-def longwin_config():
-    """mesh10 with control.a1 = 8 and table2's first QoS row."""
-    deadline, ratio, target8 = TABLE2_ROWS[0]
-    theta7, theta8 = TABLE2_THETA
-    cfg = with_qos(bundled_preset_config(), {
-        7: QosSpec(kind="hard_deadline", deadline_slots=deadline,
-                   drop_ratio_target=ratio, theta_hat=theta7),
-        8: QosSpec(kind="mean_delay", target_slots=target8, theta_hat=theta8),
-    })
-    return replace(cfg, control=replace(cfg.control, a1=8.0))
+from drainsched.experiments import bundled_preset_config, export_metrics, run_experiment
 
 
 def links_divisor_config():

@@ -8,7 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from drainsched.instances import random_instance
+from conftest import record_reviews
+from drainsched.config import with_optimizer
+from drainsched.experiments import bundled_preset_config
+from drainsched.instances import instance_stream, random_instance
 from drainsched.network import ConstraintSet, Flow, Halfspace, NetworkSpec, build_constraints, \
     build_link_flow_index, derive_interference_sets
 from drainsched.optim import (
@@ -306,7 +309,7 @@ class TestFinalizeFeasible:
         entries = build_link_flow_index(spec)
         cons = build_constraints(entries, spec)
         out = finalize_feasible(np.array([-0.2, 0.5]), cons)
-        assert out.tolist() == [0.0, 0.5]
+        assert_same_bits(out, [0.0, 0.5])
 
     def test_scale_by_sum(self):
         flows = (
@@ -330,7 +333,7 @@ class TestFinalizeFeasible:
                 raw = rng.uniform(-1.5, 3.0, inst.constraints.n_coords)
                 out = finalize_feasible(raw, inst.constraints)
                 assert inst.constraints.feasible(out, tol=1e-9)
-                assert (out >= 0).all() and (out <= 1.0 + 1e-12).all()
+                assert all(0.0 <= x <= 1.0 + 1e-12 for x in out)
 
     def test_fixed_point(self):
         rng = np.random.default_rng(32)
@@ -355,11 +358,19 @@ def numpy_finalize_feasible(s, constraints):
     return out
 
 
+def bits(values) -> bytes:
+    """The float64 bytes of a sequence of numbers, signs of zero and NaN
+    payloads included."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def assert_same_bits(got, want):
-    assert isinstance(got, np.ndarray)
-    assert got.dtype == want.dtype == np.float64
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    """got is a list of Python floats with exactly the bits of want, a
+    float64 array or a list of floats, entry by entry."""
+    assert type(got) is list and all(type(x) is float for x in got)
+    want = np.asarray(want)
+    assert want.dtype == np.float64 and want.shape == (len(got),)
+    assert bits(got) == want.tobytes()
 
 
 class TestFinalizeMatchesNumpyReference:
@@ -367,7 +378,6 @@ class TestFinalizeMatchesNumpyReference:
 
     def test_mesh10_reviews(self, monkeypatch):
         from drainsched import engine, optim
-        from drainsched.experiments import bundled_preset_config
 
         seen = []
         finalize = optim.finalize_feasible
@@ -384,7 +394,6 @@ class TestFinalizeMatchesNumpyReference:
 
     def test_instance_stream(self, monkeypatch):
         from drainsched import optim
-        from drainsched.instances import instance_stream
 
         seen = []
         finalize = optim.finalize_feasible
@@ -440,7 +449,6 @@ class TestFinalizeMatchesNumpyReference:
 
 class TestCachedPlan:
     def test_endpoint_plans_follow_the_halfspaces(self):
-        from drainsched.experiments import bundled_preset_config
         from drainsched.optim import DIVISOR_MODES
 
         spec = bundled_preset_config().network
@@ -476,8 +484,6 @@ class TestCachedPlan:
             assert hash(again) == hash(plan) == hash(tuple(plan))
 
     def test_divisor_modes_do_not_share_a_plan(self):
-        from drainsched.experiments import bundled_preset_config
-
         spec = bundled_preset_config().network
         entries = build_link_flow_index(spec)
         shared = build_constraints(entries, spec)
@@ -491,10 +497,10 @@ class TestCachedPlan:
             fresh_s, fresh_diag = solve_review_optimization(
                 wv, build_constraints(entries, spec), params
             )
-            assert s.tobytes() == fresh_s.tobytes()
+            assert_same_bits(s, fresh_s)
             assert diag == fresh_diag
             got.setdefault(mode, s)
-        assert got["coordinates"].tobytes() != got["links"].tobytes()
+        assert bits(got["coordinates"]) != bits(got["links"])
 
 
 class TestSolveReviewOptimization:
@@ -504,7 +510,7 @@ class TestSolveReviewOptimization:
         params = OptParams()
         s, diag = solve_review_optimization(wv, cons, params)
         expected = finalize_feasible(np.ones(len(entries)), cons)
-        assert np.array_equal(s, expected)
+        assert_same_bits(s, expected)
         assert diag.final_objective == 0.0
         assert diag.objective_trace == (0.0,) * params.cycles
 
@@ -556,8 +562,6 @@ class TestSolveReviewOptimization:
 
     @staticmethod
     def mesh10_constraints():
-        from drainsched.experiments import bundled_preset_config
-
         spec = bundled_preset_config().network
         return build_constraints(build_link_flow_index(spec), spec)
 
@@ -576,24 +580,6 @@ class TestSolveReviewOptimization:
         wv = WeightVector(w=[1.0] * 15, mu=[1e200] * 15)
         with pytest.raises(ValueError, match=r"^mu too large: .* = 1e\+200"):
             solve_review_optimization(wv, self.mesh10_constraints(), OptParams())
-
-
-def mesh10_solves(monkeypatch):
-    """(weights, constraints, params) of every solve of a 3000-slot mesh10 run."""
-    from drainsched import engine
-    from drainsched.experiments import bundled_preset_config
-
-    seen = []
-    solve = engine.solve_review_optimization
-
-    def recording(weights, constraints, params):
-        seen.append((weights, constraints, params))
-        return solve(weights, constraints, params)
-
-    monkeypatch.setattr(engine, "solve_review_optimization", recording)
-    engine.run_simulation(bundled_preset_config(), horizon=3000, seed=1)
-    assert len(seen) > 100
-    return seen
 
 
 def public_reference_solve(weights, constraints, params):
@@ -620,18 +606,37 @@ class TestSolverMatchesPublicProjection:
     def assert_matches(weights, constraints, params):
         got, _ = solve_review_optimization(weights, constraints, params)
         want = public_reference_solve(weights, constraints, params)
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12
 
-    def test_mesh10_reviews(self, monkeypatch):
-        for case in mesh10_solves(monkeypatch):
-            self.assert_matches(*case)
+    def test_mesh10_reviews(self):
+        seen, _ = record_reviews(bundled_preset_config(), seed=1, horizon=3000)
+        assert len(seen) > 100
+        for r in seen:
+            self.assert_matches(r.weights, r.constraints, r.params)
 
     def test_instance_stream(self):
-        from drainsched.instances import instance_stream
-
         for inst in instance_stream(200):
             params = OptParams(step_size=inst.step_size, cycles=50)
             self.assert_matches(inst.weights, inst.constraints, params)
+
+
+class TestFinalObjective:
+    """final_objective is objective() of the returned schedule, bit for bit."""
+
+    @pytest.mark.parametrize("mode", DIVISOR_MODES)
+    def test_mesh10_reviews(self, mode):
+        cfg = with_optimizer(bundled_preset_config(), divisor_mode=mode)
+        seen, _ = record_reviews(cfg, seed=1, horizon=3000)
+        assert len(seen) > 100
+        for r in seen:
+            assert bits([r.diag.final_objective]) == bits([objective(r.s, r.weights)])
+        assert any(r.diag.final_objective for r in seen)
+
+    def test_instance_stream(self):
+        for inst in instance_stream(200):
+            params = OptParams(step_size=inst.step_size, cycles=50)
+            s, diag = solve_review_optimization(inst.weights, inst.constraints, params)
+            assert bits([diag.final_objective]) == bits([objective(s, inst.weights)])
 
 
 KERNEL_VARIANTS = [
@@ -715,9 +720,9 @@ def assert_same_cycles(weights, constraints, params, kernel=None):
     want_s, want_broadcasts, want_trace = list_loop_cycles(
         constraints.endpoint_plans[mode], list(s), *args
     )
-    assert_same_bits(np.array(got_s, dtype=float), np.array(want_s, dtype=float))
+    assert_same_bits(got_s, want_s)
     assert got_broadcasts == want_broadcasts
-    assert_same_bits(np.array(got_trace, dtype=float), np.array(want_trace, dtype=float))
+    assert_same_bits(got_trace, want_trace)
 
 
 def counting_generations(monkeypatch):
@@ -750,19 +755,22 @@ def wide_constraints(n):
 class TestCycleKernel:
     """The generated kernel must give exactly the bits of the list loop."""
 
-    def test_mesh10_reviews(self, monkeypatch):
-        for weights, constraints, params in mesh10_solves(monkeypatch):
+    def test_mesh10_reviews(self):
+        seen, _ = record_reviews(bundled_preset_config(), seed=1, horizon=3000)
+        assert len(seen) > 100
+        for r in seen:
             for variant in KERNEL_VARIANTS:
-                assert_same_cycles(weights, constraints, replace(params, **variant))
+                assert_same_cycles(r.weights, r.constraints, replace(r.params, **variant))
 
-    def test_a_reordered_member_sum_fails_the_bit_check(self, monkeypatch):
+    def test_a_reordered_member_sum_fails_the_bit_check(self):
         # The check must see a change of rounding alone: the same kernel with
         # one four-term member sum added right to left differs from the list
         # loop on some mesh10 review.
         from drainsched import optim
 
-        solves = mesh10_solves(monkeypatch)
-        source = optim._kernel_source(solves[0][1].endpoint_plans["coordinates"])
+        solves, _ = record_reviews(bundled_preset_config(), seed=1, horizon=3000)
+        assert len(solves) > 100
+        source = optim._kernel_source(solves[0].constraints.endpoint_plans["coordinates"])
         lines = source.splitlines(keepends=True)
         at = next(i for i, line in enumerate(lines)
                   if re.fullmatch(r" +t1 = s\d+( \+ s\d+){3}\n", line))
@@ -771,16 +779,14 @@ class TestCycleKernel:
         namespace = {}
         exec("".join(lines), namespace)
         failed = 0
-        for weights, constraints, params in solves:
+        for r in solves:
             try:
-                assert_same_cycles(weights, constraints, params, namespace["kernel"])
+                assert_same_cycles(r.weights, r.constraints, r.params, namespace["kernel"])
             except AssertionError:
                 failed += 1
         assert failed > 0
 
     def test_instance_stream(self):
-        from drainsched.instances import instance_stream
-
         for inst in instance_stream(200):
             for variant in KERNEL_VARIANTS:
                 params = OptParams(step_size=inst.step_size, cycles=50, **variant)
@@ -803,8 +809,6 @@ class TestCycleKernel:
             assert cycle_kernel(other, mode) is cycle_kernel(cons, mode)
 
     def test_one_kernel_per_divisor_mode(self, monkeypatch):
-        from drainsched.experiments import bundled_preset_config
-
         generated = counting_generations(monkeypatch)
         spec = bundled_preset_config().network
         cons = build_constraints(build_link_flow_index(spec), spec)
@@ -871,8 +875,6 @@ class TestCycleKernel:
 
     def test_mesh10_source_pinned(self):
         # Any change to the emitted code must show up here as a reviewed diff.
-        from drainsched.experiments import bundled_preset_config
-
         spec = bundled_preset_config().network
         cons = build_constraints(build_link_flow_index(spec), spec)
         source = cycle_kernel(cons, "coordinates").source

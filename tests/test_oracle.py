@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import record_reviews
 from drainsched.config import with_run
 from drainsched.experiments import bundled_preset_config
 from drainsched.instances import instance_stream, random_instance
@@ -10,7 +11,6 @@ from drainsched.network import Flow, NetworkSpec, build_constraints, \
     build_link_flow_index, derive_interference_sets
 from drainsched.optim import WeightVector, objective
 from drainsched.oracle import oracle_solve
-from test_engine import record_reviews
 
 
 def star3():
@@ -95,6 +95,7 @@ class TestOracleSolve:
         for seed in range(30):
             inst = random_instance(seed + 400)
             s, value = oracle_solve(inst.weights, inst.constraints)
+            assert type(s) is list and all(type(x) is float for x in s)
             assert inst.constraints.feasible(s)
             assert value == pytest.approx(objective(s, inst.weights), abs=1e-9)
             for _ in range(50):
@@ -122,7 +123,7 @@ class TestOracleSolve:
 def test_values_match_highs_on_mesh10_reviews_and_random_instances():
     optimize = pytest.importorskip("scipy.optimize")
     seen, _ = record_reviews(with_run(bundled_preset_config(), horizon_slots=300), seed=3)
-    cases = [(wv, cons) for _, wv, cons in seen]
+    cases = [(r.weights, r.constraints) for r in seen]
     cases += [(inst.weights, inst.constraints) for inst in instance_stream(200)]
     values = []
     for wv, cons in cases:

@@ -13,11 +13,11 @@ import math
 
 import pytest
 
+from conftest import longwin_config
 from drainsched.config import with_run
 from drainsched.engine import FlowMetrics, MetricsReport, PeriodRecord, run_simulation
 from drainsched.experiments import bundled_preset_config, export_metrics
 from drainsched.report import PeriodLog, Periods
-from test_export_digest import longwin_config
 
 
 def record(start=0, trace=(1.0, 2.0), theta=None, **kw):
