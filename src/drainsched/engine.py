@@ -17,9 +17,8 @@ hold that slot only after an inject of it, since the streams of one queue are
 folded into one count per slot. A link that forwards tests only its first
 piece against the next hop's tail; neighbouring buckets of the sending queue
 hold different slots, so every later piece opens a bucket. After an inject
-(or a clock set by hand) two neighbouring buckets may share a slot, and the
-pushes after them may not merge; no answer changes, because delays and counts
-add up per packet.
+two neighbouring buckets may share a slot, and the pushes after them may not
+merge; no answer changes, because delays and counts add up per packet.
 
 A review fixes the slot schedule and the link rates until the next review,
 so the engine runs the packet phase one review window at a time
@@ -29,16 +28,16 @@ arrival count and the slot's active links in place, by offset into the
 arrival block and into the schedule; a window that runs past the end of the
 arrival block goes on in the next block. run() calls step() on each review
 slot and _advance for the rest of that window; step() is _advance over one
-slot.
+slot. Only the engine moves the clock, and only forward: t and t_rev are
+read-only, and every review schedules at least the slots up to the next review
+or the horizon.
 
 The queue-length integral, each queue's end-of-slot length summed over the
 slots run (report() averages it), is not added up slot by slot. It is kept
 as a weighted-time sum W: n packets joining queue q at slot t add n * t to
 W[q], and n leaving it subtract n * t, so after the slots up to T the
-integral is T * qlen[q] - W[q], in exact integer arithmetic. T is the clock
-at the end of the last slot run; inject counts its packets at that T, and a
-clock set by hand since then shifts W by (t - T) * qlen[q] when the next
-slot runs, which leaves the integral as it was.
+integral is T * qlen[q] - W[q], in exact integer arithmetic, and inject
+counts its packets at the clock T.
 
 With invariant checking enabled the engine verifies, every slot, the exact
 queue bookkeeping identity (arrivals + receptions - transmissions), that each
@@ -117,11 +116,9 @@ class _Arrivals:
         return base, min(base + ARRIVAL_BLOCK, self._horizon), self._blocks
 
     def _load(self, b: int) -> None:
-        """Draw every stream's blocks up to b; going back to an earlier block
-        restarts the substreams (only a clock set back by hand does that)."""
-        if self._rngs is None or b < self._index:
+        """Draw every stream's blocks up to b, a block not before the one held."""
+        if self._rngs is None:
             self._rngs = [np.random.default_rng(seq) for _, _, seq, _ in self.streams]
-            self._index = -1
         while self._index < b:
             self._index += 1
             size = min(ARRIVAL_BLOCK, self._horizon - self._index * ARRIVAL_BLOCK)
@@ -171,7 +168,6 @@ class Simulation:
         self._count: list[deque[int]] = [deque() for _ in range(nq)]
         self._qlen = [0] * nq
         self._qtime = [0] * nq  # the weighted-time sum W of the module docstring
-        self._t_run = 0  # the clock at the end of the last slot run
         self._arr_cum = [0] * nq
         self._rx_cum = [0] * nq
         self._tx_cum = [0] * nq
@@ -219,26 +215,37 @@ class Simulation:
 
         self._qbar = config.control.safety_stock_pkts
         self._fmu = [0] * len(entries)
-        self.t = 0
-        self.t_prev = 0
-        self.t_rev = 0
+        self._t = 0
+        self._t_prev = 0  # the last review slot
+        self._t_rev = 0
         self._slots: tuple[tuple[int, ...], ...] = ((),)
         # One row per review, kept column by column.
         self.periods = PeriodLog(config.optimizer.cycles, net.flow_ids)
         self.conservation_violations = 0
         self.interference_violations = 0
 
+    # Read-only clocks: only _advance and _review move them.
+    t = property(operator.attrgetter("_t"), doc="The next slot to run.")
+    t_rev = property(operator.attrgetter("_t_rev"), doc="The slot of the next review.")
+
     def inject(self, node: int, flow_id: int, created_slots) -> None:
         """Place packets directly into queue (node, flow); debugging helper.
 
-        Injected packets count as exogenous arrivals for the conservation
-        bookkeeping.
+        Creation slots may not lie after the clock t (ValueError, and the
+        queue is unchanged). Injected packets count as exogenous arrivals for
+        the conservation bookkeeping.
         """
-        qi = self._qkeys.index((node, flow_id))
+        if (node, flow_id) not in self._qkeys:
+            raise ValueError(f"inject: no queue for node {node!r} and flow {flow_id!r}")
         created = [int(c) for c in created_slots]
+        if created and max(created) > self._t:
+            raise ValueError(
+                f"inject: creation slot {max(created)} is after the clock, t = {self._t}"
+            )
+        qi = self._qkeys.index((node, flow_id))
         _push(self._born[qi], self._count[qi], [(slot, 1) for slot in created])
         self._qlen[qi] += len(created)
-        self._qtime[qi] += len(created) * self._t_run
+        self._qtime[qi] += len(created) * self._t
         self._arr_cum[qi] += len(created)
         self._flows[flow_id].created += len(created)
 
@@ -272,9 +279,9 @@ class Simulation:
         s, diag = solve_review_optimization(wv, self.constraints, cfg.optimizer)
 
         total_backlog = sum(qlen)
-        self.t_prev = t
-        self.t_rev = next_review_time(t, total_backlog, cfg.control.a1, cfg.control.a2)
-        window = self.t_rev - t
+        self._t_prev = t
+        self._t_rev = next_review_time(t, total_backlog, cfg.control.a1, cfg.control.a2)
+        window = self._t_rev - t
         if window > MAX_WINDOW:
             raise ConfigError(
                 f"control.a1/control.a2: review window a1 * ln(1 + a2 * backlog) = {window:.4g}"
@@ -315,7 +322,7 @@ class Simulation:
 
     def step(self) -> None:
         """Advance one slot: review if due, arrivals, service, accounting."""
-        self._advance(self.t + 1)
+        self._advance(self._t + 1)
 
     def _advance(self, stop: int) -> None:
         """Run slots self.t .. stop - 1, one review window at a time.
@@ -323,25 +330,17 @@ class Simulation:
         Each pass of the outer loop reviews if due, then runs the slots up to
         the next review, stop or the end of the arrival block under one slot
         schedule, reading the block's counts and the schedule by offset. A
-        window whose next review lies in the past (t_rev < t, reachable only
-        by setting the clock by hand) never reviews again; its slots past the
-        end of the schedule are idle. A stop past the horizon raises
-        ValueError and changes nothing.
+        stop past the horizon raises ValueError and changes nothing.
         """
         if stop > self.horizon:
             raise ValueError(
                 f"cannot run to slot {stop}: the horizon is {self.horizon} slots"
             )
-        t = self.t
+        t = self._t
         born = self._born
         count = self._count
         qlen = self._qlen
         qtime = self._qtime
-        if t != self._t_run:  # the clock was set by hand
-            shift = t - self._t_run
-            for qi, n in enumerate(qlen):
-                qtime[qi] += shift * n
-            self._t_run = t
         arr_cum = self._arr_cum
         rx_cum = self._rx_cum
         tx_cum = self._tx_cum
@@ -352,22 +351,17 @@ class Simulation:
         masks = self.constraints.masks
         blk_end = 0  # no block read yet
         while t < stop:
-            if t == self.t_rev:
+            if t == self._t_rev:
                 self._review(t)
-            t_rev = self.t_rev
-            end = t_rev if t < t_rev < stop else stop
+            t_rev = self._t_rev
+            end = t_rev if t_rev < stop else stop
             if t >= blk_end:
                 base, blk_end, arrivals = self._arrivals.block(t)
             if end > blk_end:
                 end = blk_end
             fmu = self._fmu
             slots = self._slots
-            tp = self.t_prev
-            off = t - tp
-            if off < 0 or end - tp > len(slots):  # a hand-set clock: idle past the schedule
-                slots = slots[off:end - tp] if off >= 0 else ()
-                slots += ((),) * (end - t - len(slots))
-                tp = t
+            tp = self._t_prev
             for t in range(t, end):
                 i = t - base
                 for qi, fm, arr in arrivals:
@@ -487,7 +481,7 @@ class Simulation:
                     if created != delivered + sum(qlen):
                         self.conservation_violations += 1
             t = end
-            self.t = self._t_run = t
+            self._t = t
 
     # -- reporting ------------------------------------------------------------
 
@@ -505,11 +499,11 @@ class Simulation:
         }
         # Averaged over the slots run so far; before the first slot every sum
         # is 0 and the horizon stands in.
-        slots = self.t or self.horizon
-        t_run = self._t_run
+        t = self._t
+        slots = t or self.horizon
         queue_avg = (
             {
-                key: (t_run * n - w) / slots
+                key: (t * n - w) / slots
                 for key, n, w in zip(self._qkeys, self._qlen, self._qtime)
             }
             if slots
@@ -527,9 +521,9 @@ class Simulation:
 
     def run(self) -> MetricsReport:
         # One step() per review slot, then the rest of its window in one call.
-        while self.t < self.horizon:
+        while self._t < self.horizon:
             self.step()
-            self._advance(min(self.t_rev, self.horizon))
+            self._advance(min(self._t_rev, self.horizon))
         return self.report()
 
 

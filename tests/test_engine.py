@@ -210,12 +210,10 @@ class TestStepSlot:
         assert sim.report().flows[1].delivered == 0
 
     def test_deadline_accounting_on_time(self):
-        # created at 100, delivered at 151, deadline 180: on time with delay 51
+        # created at -51, delivered at 0, deadline 180: on time with delay 51
         cfg = parse_config(TWO_HOP_YAML)
         sim = Simulation(cfg, seed=1)
-        sim.t = 151
-        sim.t_rev = 151  # force a review with the preloaded queue
-        sim.inject(1, 2, [100])
+        sim.inject(1, 2, [-51])  # the first slot reviews with the preloaded queue
         sim.step()
         fm = sim.report().flows[2]
         assert fm.delivered == 1 and fm.late == 0
@@ -224,9 +222,7 @@ class TestStepSlot:
     def test_deadline_accounting_late(self):
         cfg = parse_config(TWO_HOP_YAML)
         sim = Simulation(cfg, seed=1)
-        sim.t = 281  # delay 181 exceeds the 180-slot deadline
-        sim.t_rev = 281
-        sim.inject(1, 2, [100])
+        sim.inject(1, 2, [-181])  # delay 181 exceeds the 180-slot deadline
         sim.step()
         fm = sim.report().flows[2]
         assert fm.delivered == 1 and fm.late == 1
@@ -237,13 +233,11 @@ class TestStepSlot:
         # service rate 1/slot: head-of-line (oldest) packets leave first
         cfg = single_link_config(rate=0.0, gain=2.0, stock=0, horizon=20)
         sim = Simulation(cfg, seed=1)
-        sim.t = 10
-        sim.t_rev = 10
-        sim.inject(0, 1, [5, 7])
+        sim.inject(0, 1, [-5, -3])
         sim.step()
         sim.step()
         fm = sim.report().flows[1]
-        # FIFO: delays are 10-5=5 then 11-7=4 (LIFO would give 3 and 6)
+        # FIFO: delays are 0-(-5)=5 then 1-(-3)=4 (LIFO would give 3 and 6)
         assert fm.histogram == {5: 1, 4: 1}
 
     def test_one_hop_packet_can_leave_in_arrival_slot_with_zero_stock(self):
@@ -254,14 +248,51 @@ class TestStepSlot:
         assert sim.report().flows[1].histogram == {0: 1}
 
 
+class TestClock:
+    def test_clocks_cannot_be_assigned(self):
+        sim = Simulation(single_link_config(horizon=10), seed=1)
+        sim.step()
+        clocks = (sim.t, sim.t_rev)
+        for name in ("t", "t_rev"):
+            with pytest.raises(AttributeError):
+                setattr(sim, name, 5)
+        assert (sim.t, sim.t_rev) == clocks
+        assert sim.t == 1
+
+    def test_inject_after_the_clock_raises_and_changes_nothing(self):
+        # Such a packet would leave with a negative delay.
+        sim = Simulation(single_link_config(rate=0.0, horizon=10), seed=1, check_invariants=True)
+        with pytest.raises(ValueError, match=r"creation slot 5 is after the clock, t = 0$"):
+            sim.inject(0, 1, [0, 5])
+        assert (list(sim._born[0]), sim._qlen, sim._qtime, sim._arr_cum) == ([], [0], [0], [0])
+        assert sim.report().flows[1].created == 0
+        sim.inject(0, 1, [0, -3])  # at the clock, and before it
+        sim.step()
+        with pytest.raises(ValueError, match=r"creation slot 2 is after the clock, t = 1$"):
+            sim.inject(0, 1, [2])
+        sim.inject(0, 1, [1])
+        sim.step()
+        sim.step()
+        rep = sim.report()
+        assert rep.flows[1].histogram == {0: 1, 1: 1, 4: 1}
+        assert rep.conservation_violations == 0
+
+    def test_inject_into_an_unknown_queue_raises(self):
+        sim = Simulation(single_link_config(horizon=10), seed=1)
+        assert sim._qkeys == [(0, 1)]
+        with pytest.raises(ValueError, match=r"no queue for node 1 and flow 1$"):
+            sim.inject(1, 1, [0])
+        with pytest.raises(ValueError, match=r"no queue for node 0 and flow 7$"):
+            sim.inject(0, 7, [0])
+
+
 class TestBucketQueues:
     def test_non_monotone_inject_matches_per_packet_reference(self):
         cfg = parse_config(DEADLINE_LINK_YAML)
         sim = Simulation(cfg, seed=1, check_invariants=True)
-        sim.t = 10
-        sim.t_rev = 10
-        sim.inject(0, 1, [4, 4, 2, 4, 3, 3, 3, 9])
-        assert list(zip(sim._born[0], sim._count[0])) == [(4, 2), (2, 1), (4, 1), (3, 3), (9, 1)]
+        sim.inject(0, 1, [-6, -6, -8, -6, -7, -7, -7, -1])
+        assert list(zip(sim._born[0], sim._count[0])) == \
+            [(-6, 2), (-8, 1), (-6, 1), (-7, 3), (-1, 1)]
         stats = step_against_per_packet_reference(sim, forward={}, slots=6)
         fm = sim.report().flows[1]
         assert fm.delivered == stats[1]["delivered"] == 8
@@ -273,25 +304,25 @@ class TestBucketQueues:
         # floor(ln 9) = 2 packets per slot drain one bucket of 5 over 3 slots
         cfg = single_link_config(rate=0.0, gain=8.0, stock=0, horizon=20)
         sim = Simulation(cfg, seed=1)
-        sim.inject(0, 1, [0] * 5 + [1])
+        sim.inject(0, 1, [-1] * 5 + [0])
         heads = []
         for _ in range(4):
             sim.step()
             heads.append(list(zip(sim._born[0], sim._count[0])))
-        assert heads == [[(0, 3), (1, 1)], [(0, 1), (1, 1)], [], []]
-        assert sim.report().flows[1].histogram == {0: 2, 1: 3, 2: 1}
+        assert heads == [[(-1, 3), (0, 1)], [(-1, 1), (0, 1)], [], []]
+        assert sim.report().flows[1].histogram == {1: 2, 2: 3, 3: 1}
 
     def test_forwarded_bucket_merges_into_downstream_tail(self):
         cfg = parse_config(TWO_HOP_YAML)
         sim = Simulation(cfg, seed=1, check_invariants=True)
-        sim.inject(0, 2, [0] * 6 + [1] * 6)
-        sim.inject(1, 2, [0] * 12)
+        sim.inject(0, 2, [-1] * 6 + [0] * 6)
+        sim.inject(1, 2, [-1] * 12)
         # queue 0 is node 0 (forwards to node 1), queue 1 is node 1 (delivers)
         assert sim._qkeys == [(0, 2), (1, 2)]
         stats = step_against_per_packet_reference(sim, forward={0: 1}, slots=15)
         # 12 packets forwarded in 2-packet buckets, each merged into the tail
         assert sim._rx_cum[1] == 12
-        assert list(zip(sim._born[1], sim._count[1])) == [(0, 2), (1, 6)]
+        assert list(zip(sim._born[1], sim._count[1])) == [(-1, 2), (0, 6)]
         fm = sim.report().flows[2]
         assert fm.delivered == stats[2]["delivered"] == 16
         assert fm.delay_sum == stats[2]["delay_sum"]
@@ -306,7 +337,7 @@ class TestBucketQueues:
         assert sim._link_of == [(0, 1), (1, 2)]
         sim.inject(0, 2, [0, 0])
         sim.inject(1, 2, [0])
-        sim.t_rev = 10
+        sim._t_prev, sim._t_rev = 0, 10
         sim._slots = ((0, 1),) * 10
         sim._fmu = [2, 2]
         sim.step()
@@ -372,7 +403,7 @@ class TestBucketQueues:
                         sim.inject(node, fid, created)
                         injected.append((qi, created))
                 # no review: the slot runs under a random active set and rates
-                sim.t_prev, sim.t_rev = t, t + 1
+                sim._t_prev, sim._t_rev = t, t + 1
                 sim._slots = (tuple(k for k in range(coords) if rng.random() < 0.6),)
                 sim._fmu = rng.integers(0, 5, coords).tolist()
                 return injected
@@ -509,9 +540,7 @@ class TestFlowStatistics:
         # FIFO service of one packet per slot from t=30: delays 10, 20, 30
         cfg = single_link_config(rate=0.0, gain=2.0, stock=0, horizon=40)
         sim = Simulation(cfg, seed=1)
-        sim.t = 30
-        sim.t_rev = 30
-        sim.inject(0, 1, [20, 11, 2])
+        sim.inject(0, 1, [-10, -19, -28])
         for _ in range(3):
             sim.step()
         fm = sim.report().flows[1]
@@ -609,14 +638,6 @@ class TestQueueIntegral:
         key = sim._qkeys[0]
         both(lambda s: s.inject(*key, [s.t - 5, s.t, s.t]))
         windows(3)
-
-        def set_clock(s, t):
-            s.t = s.t_rev = t  # a review on the next slot
-
-        both(lambda s: set_clock(s, s.t + 150))
-        windows(3)
-        both(lambda s: set_clock(s, s.t - 400))
-        windows(3)
         assert {"review", "inside", "end"} <= set(seen)
         assert sum(total) > 0
 
@@ -694,13 +715,13 @@ class TestWindowLoop:
     def test_report_after_stopping_mid_window(self, tmp_path):
         by_step = Simulation(bundled_preset_config(), seed=1, horizon=3000)
         step_to(by_step, 1500)
-        while not by_step.t_prev < by_step.t < by_step.t_rev:
+        while not by_step._t_prev < by_step.t < by_step.t_rev:
             by_step.step()
         stop = by_step.t
         windowed = Simulation(bundled_preset_config(), seed=1, horizon=3000)
         windowed._advance(stop)
-        assert (windowed.t, windowed.t_prev, windowed.t_rev) == \
-            (stop, by_step.t_prev, by_step.t_rev)
+        assert (windowed.t, windowed._t_prev, windowed.t_rev) == \
+            (stop, by_step._t_prev, by_step.t_rev)
         assert export_bytes(windowed.report(), tmp_path / "a.json") == \
             export_bytes(by_step.report(), tmp_path / "b.json")
         # resuming from the middle of a window changes nothing either
@@ -720,25 +741,6 @@ class TestWindowLoop:
         report = Simulation(bundled_preset_config(), seed=1, horizon=500).run()
         assert len(at_review) == len(report.periods) > 0
         assert all(at_review)
-
-    @pytest.mark.parametrize("steps_before, jump", [(0, 10), (20, 0), (20, 10)])
-    def test_review_clock_set_into_the_past(self, steps_before, jump):
-        # The next review lies behind the clock: no slot is a review slot any
-        # more, and slots past the last schedule's window are idle.
-        sim = Simulation(bundled_preset_config(), seed=1, horizon=200, check_invariants=True)
-        step_to(sim, steps_before)
-        reviews = len(sim.periods)
-        sim.t += jump
-        sim.t_rev = sim.t_prev - 1
-        sent = sum(sim._tx_cum)
-        sim.step()
-        report = sim.run()
-        assert sim.t == 200
-        assert len(report.periods) == reviews
-        assert report.conservation_violations == 0
-        if steps_before == 0:
-            assert sum(sim._tx_cum) == sent == 0
-            assert sum(fm.created for fm in report.flows.values()) == sum(sim._qlen) > 0
 
 
 def substream(seed, si):
@@ -803,11 +805,11 @@ class TestBlockArrivals:
     def test_windows_across_block_edges(self):
         horizon = 3 * engine.ARRIVAL_BLOCK - 5
         ref = one_shot(2.5, horizon, seed=4)
-        st = Stream(2.5, horizon, seed=4)
         edge = engine.ARRIVAL_BLOCK
         for t, end in [(edge - 3, edge + 4), (edge + 4, 2 * edge + 1),
                        (2 * edge + 1, horizon), (5, 2 * edge + 9), (0, horizon)]:
-            assert st.window(t, end) == ref[t:end]
+            # the engine reads forward only, so each window reads a new stream
+            assert Stream(2.5, horizon, seed=4).window(t, end) == ref[t:end]
 
     @pytest.mark.parametrize("block", [7, 4096])
     def test_mesh_run_and_step_loop_draw_the_one_shot_counts(self, monkeypatch, block):
@@ -850,18 +852,6 @@ class TestBlockArrivals:
             export_bytes(by_step.report(), tmp_path / "step.json")
         assert by_run._arr_cum == by_step._arr_cum
 
-    def test_clock_set_by_hand_reads_the_same_counts(self):
-        sim = Simulation(bundled_preset_config(), seed=3, horizon=3 * engine.ARRIVAL_BLOCK,
-                         check_invariants=True)
-        ref = one_shot_arrivals(sim)
-        # forward into a later block, then back into the first
-        for t in (2 * engine.ARRIVAL_BLOCK + 17, engine.ARRIVAL_BLOCK - 1, 281):
-            sim.t = t
-            before = list(sim._arr_cum)
-            sim.step()
-            for qi, counts in ref.items():
-                assert sim._arr_cum[qi] - before[qi] == counts[t]
-
     def test_rate_at_numpy_poisson_limit_draws_and_the_next_is_rejected(self):
         # numpy's poisson rejects lam above int64 max - 10 sqrt(int64 max); a
         # rate past it is a load-time error, not a failure at the first block.
@@ -889,21 +879,14 @@ class TestHorizon:
     def test_step_past_the_horizon_raises_and_changes_nothing(self, tmp_path):
         sim = Simulation(bundled_preset_config(), seed=1, horizon=13)
         report = sim.run()
-        state = (sim.t, sim.t_prev, sim.t_rev, len(sim.periods), list(sim._qlen))
+        state = (sim.t, sim._t_prev, sim.t_rev, len(sim.periods), list(sim._qlen))
         with pytest.raises(ValueError, match="horizon is 13 slots"):
             sim.step()
         with pytest.raises(ValueError, match="horizon is 13 slots"):
             sim._advance(20)
-        assert (sim.t, sim.t_prev, sim.t_rev, len(sim.periods), list(sim._qlen)) == state
+        assert (sim.t, sim._t_prev, sim.t_rev, len(sim.periods), list(sim._qlen)) == state
         assert export_bytes(sim.report(), tmp_path / "a.json") == \
             export_bytes(report, tmp_path / "b.json")
-
-    def test_step_past_a_hand_set_clock_raises(self):
-        sim = Simulation(single_link_config(rate=0.0, horizon=10), seed=1)
-        sim.t = sim.t_rev = 10
-        with pytest.raises(ValueError, match="horizon"):
-            sim.step()
-        assert len(sim.periods) == 0
 
     @staticmethod
     def with_a1(a1):
