@@ -20,12 +20,7 @@ from .control import (
     next_review_time,
     update_qos_weights,
 )
-from .engine import (
-    FlowMetrics,
-    MetricsReport,
-    Simulation,
-    run_simulation,
-)
+from .engine import Simulation, run_simulation
 from .experiments import (
     bundled_preset_config,
     build_grid,
@@ -55,5 +50,6 @@ from .optim import (
     theorem_gap_bound,
 )
 from .oracle import oracle_solve
+from .report import FlowMetrics, MetricsReport
 
 __version__ = "0.1.0"

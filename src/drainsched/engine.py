@@ -66,7 +66,7 @@ from .config import RunParams, SimConfig
 from .control import build_slot_schedule, next_review_time, update_qos_weights
 from .network import ConfigError, build_constraints, build_link_flow_index
 from .optim import WeightVector, solve_review_optimization
-from .report import MAX_WINDOW, FlowMetrics, MetricsReport, PeriodLog, PeriodRecord, Periods
+from .report import MAX_WINDOW, FlowMetrics, MetricsReport, PeriodLog, Periods
 
 ARRIVAL_STREAM = 1  # seed-sequence domain tag, disjoint from the channel tag
 ARRIVAL_BLOCK = 4096  # slots of Poisson counts a stream draws at a time

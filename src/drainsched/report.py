@@ -1,12 +1,15 @@
 """Run reports: per-flow statistics, the per-review period log, JSON export.
 
-A run keeps one PeriodRecord of optimizer diagnostics per review. The records
-live in a PeriodLog, column by column: one array per scalar field, every
-objective trace in one flat column of stride `cycles`, and one theta column
-per flow id. A mesh10 review then costs ~150 bytes, not a ~0.8 KB record
-object. MetricsReport.periods is a read-only Periods view of a log's first n
-rows, so a report taken mid-run stays a snapshot; it builds a PeriodRecord
-only when one is read.
+A run keeps one PeriodRecord of optimizer diagnostics per review. Its fields
+are the only declaration of the review row: the PeriodLog's columns, the row
+the engine hands to PeriodLog.add, append, record and the JSON writer's row
+are derived from them, so a new column needs only its field and its value in
+the engine's add call. The log holds the rows column by column: one array per
+int or float field, every objective trace in one flat column of stride
+`cycles`, and one theta column per flow id, ~150 bytes per mesh10 review.
+MetricsReport.periods is a read-only Periods view of a log's first n rows, so
+a report taken mid-run stays a snapshot; it builds a PeriodRecord only when
+one is read.
 
 MetricsReport.write_json streams the report to a text file, one write per
 review and per scalar item of the other sections. Its bytes equal those of
@@ -19,7 +22,8 @@ from __future__ import annotations
 import operator
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 
@@ -44,6 +48,10 @@ class FlowMetrics:
 
 @dataclass
 class PeriodRecord:
+    """The optimizer diagnostics of one review, a row of the period log. An int
+    or float field has an int64 or float64 column; a field that defaults to
+    None is not stored, so it must be None, and is written as null."""
+
     start: int
     window: int
     objective: float
@@ -56,16 +64,12 @@ class PeriodRecord:
     oracle_gap: float | None = None  # exact LP gap; no engine path fills it yet
 
 
-# The scalar fields of a PeriodRecord and the typecodes of their columns.
-_SCALARS = {
-    "start": "q",
-    "window": "q",
-    "objective": "d",
-    "c2": "d",
-    "c3": "d",
-    "handoff_messages": "q",
-    "excess_broadcasts": "q",
-}
+# A field that defaults to None is not stored; each other field has a column.
+_UNSTORED = tuple(f.name for f in fields(PeriodRecord) if f.default is None)
+_STORED = {f.name for f in fields(PeriodRecord)} - {*_UNSTORED}
+# The column typecode of each int and float field (annotations are text here).
+_SCALARS = {f.name: {"int": "q", "float": "d"}[f.type] for f in fields(PeriodRecord)
+            if f.name in _STORED and f.name not in ("objective_trace", "theta")}
 MAX_WINDOW = 2**63 - 1  # the longest review window the int64 ("q") column holds
 
 
@@ -73,9 +77,10 @@ class PeriodLog:
     """Append-only columnar store of PeriodRecords.
 
     Every record's objective_trace has `stride` values and its theta the keys
-    flow_ids. oracle_gap is not stored, so it must be None. A record that
-    breaks one of these rules, or whose values do not fit their columns,
-    raises ValueError naming the field, and the log is left unchanged.
+    flow_ids. A row that breaks one of these rules, misses a field, has one
+    PeriodRecord lacks or sets one the log does not store, or whose values do
+    not fit their columns, raises ValueError naming the field, and the log is
+    left unchanged.
     """
 
     def __init__(self, stride: int, flow_ids: Iterable[int]):
@@ -99,38 +104,30 @@ class PeriodLog:
         return self._n
 
     def append(self, rec: PeriodRecord) -> None:
-        if rec.oracle_gap is not None:
-            raise ValueError(f"oracle_gap: the log keeps no gap, got {rec.oracle_gap!r}")
-        self.add(rec.start, rec.window, rec.objective, rec.objective_trace, rec.c2, rec.c3,
-                 rec.handoff_messages, rec.excess_broadcasts, rec.theta)
+        self.add(**vars(rec))
 
-    def add(
-        self, start: int, window: int, objective: float, objective_trace: Sequence[float],
-        c2: float, c3: float, handoff_messages: int, excess_broadcasts: int,
-        theta: dict[int, float],
-    ) -> None:
-        """Append the row of a PeriodRecord with these fields and no oracle
-        gap, without building the record (the engine's call per review)."""
-        if len(objective_trace) != self.stride:
-            raise ValueError(
-                f"objective_trace: {len(objective_trace)} values, the log's stride is "
-                f"{self.stride}"
-            )
+    def add(self, **row) -> None:
+        """Append the row of PeriodRecord(**row) without building the record
+        (the engine's call per review)."""
+        for name in _UNSTORED:
+            value = row.pop(name, None)
+            if value is not None:
+                raise ValueError(f"{name}: not stored, so it must be None, got {value!r}")
+        if row.keys() != _STORED:
+            name = min(row.keys() ^ _STORED)
+            raise ValueError(f"{name}: " + ("no such field" if name in row else "missing"))
+        trace, theta = row["objective_trace"], row["theta"]
+        if len(trace) != self.stride:
+            raise ValueError(f"objective_trace: {len(trace)} values, the log's stride is "
+                             f"{self.stride}")
         if theta.keys() != self.theta.keys():
-            raise ValueError(
-                f"theta: flow ids {sorted(theta)}, the log's are {sorted(self.theta)}"
-            )
+            raise ValueError(f"theta: flow ids {sorted(theta)}, the log's are {sorted(self.theta)}")
         n = self._n
-        name = ""
         try:
-            for name, col, value in zip(
-                _SCALARS,  # the order of self.columns
-                self.columns.values(),
-                (start, window, objective, c2, c3, handoff_messages, excess_broadcasts),
-            ):
-                col.append(value)
+            for name, col in self.columns.items():
+                col.append(row[name])
             name = "objective_trace"
-            self.trace.extend(objective_trace)
+            self.trace.extend(trace)
             name = "theta"
             for fid, col in self.theta.items():
                 col.append(theta[fid])
@@ -230,10 +227,6 @@ class Periods(Sequence):
             write("[]")
             return
         log = self._log
-        cols = log.columns
-        start, window, objective = cols["start"], cols["window"], cols["objective"]
-        c2, c3 = cols["c2"], cols["c3"]
-        handoff, excess = cols["handoff_messages"], cols["excess_broadcasts"]
         trace, k = log.trace, log.stride
         thetas = [
             (encode_basestring_ascii(key), col)
@@ -243,22 +236,27 @@ class Periods(Sequence):
         p2 = p1 + " "  # a record's keys
         p3 = p2 + " "  # trace values and theta items
         sep3 = "," + p3
+
+        def trace_text(i):
+            return f"[{p3}{sep3.join(map(float_text, trace[i * k:i * k + k]))}{p2}]" if k else "[]"
+
+        def theta_text(i):
+            items = sep3.join(f"{key}: {float_text(col[i])}" for key, col in thetas)
+            return f"{{{p3}{items}{p2}}}" if thetas else "{}"
+
+        # The texts of each stored field, row by row; an unstored one is null.
+        cells = {"objective_trace": map(trace_text, range(n)), "theta": map(theta_text, range(n))}
+        for name, col in log.columns.items():
+            cells[name] = islice(col, n) if col.typecode == "q" else map(float_text, islice(col, n))
+        names = sorted(f.name for f in fields(PeriodRecord))
+        row = "{{" + ",".join(
+            f"{p2}{encode_basestring_ascii(name)}: "
+            + ("{}" if name in cells else _scalar_text(None))
+            for name in names
+        ) + p1 + "}}"
         sep = "[" + p1
-        for i in range(n):
-            tr = (
-                f"[{p3}{sep3.join(map(float_text, trace[i * k:i * k + k]))}{p2}]" if k else "[]"
-            )
-            th = (
-                f"{{{p3}{sep3.join(f'{key}: {float_text(col[i])}' for key, col in thetas)}{p2}}}"
-                if thetas else "{}"
-            )
-            write(
-                f'{sep}{{{p2}"c2": {float_text(c2[i])},{p2}"c3": {float_text(c3[i])},'
-                f'{p2}"excess_broadcasts": {excess[i]},{p2}"handoff_messages": {handoff[i]},'
-                f'{p2}"objective": {float_text(objective[i])},{p2}"objective_trace": {tr},'
-                f'{p2}"oracle_gap": null,{p2}"start": {start[i]},{p2}"theta": {th},'
-                f'{p2}"window": {window[i]}{p1}}}'
-            )
+        for texts in zip(*[cells[name] for name in names if name in cells]):
+            write(sep + row.format(*texts))
             sep = "," + p1
         write(p1[:-1] + "]")
 

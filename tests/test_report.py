@@ -15,9 +15,9 @@ import pytest
 
 from conftest import longwin_config
 from drainsched.config import with_run
-from drainsched.engine import FlowMetrics, MetricsReport, PeriodRecord, run_simulation
+from drainsched.engine import run_simulation
 from drainsched.experiments import bundled_preset_config, export_metrics
-from drainsched.report import PeriodLog, Periods
+from drainsched.report import FlowMetrics, MetricsReport, PeriodLog, PeriodRecord, Periods
 
 
 def record(start=0, trace=(1.0, 2.0), theta=None, **kw):
@@ -111,6 +111,41 @@ class TestWriterMatchesJsonDump:
         assert written(a, tmp_path) == written(b, tmp_path) == reference(a)
 
 
+BAD_RECORDS = [
+    (record(trace=(1.0,)), "objective_trace"),
+    (record(theta={7: 1.0}), "theta"),
+    (record(theta={7: 1.0, 9: 2.0}), "theta"),
+    (record(oracle_gap=0.1), "oracle_gap"),
+    (record(start=1.5), "start"),
+    (record(excess_broadcasts=2**64), "excess_broadcasts"),
+    (record(c3=None), "c3"),
+    (record(trace=(1.0, "x")), "objective_trace"),
+    (record(theta={7: 1.0, 8: None}), "theta"),
+]
+
+
+def engine_row(rec, drop=()):
+    """rec's fields as the keywords of the engine's PeriodLog.add call, which
+    passes no oracle_gap unless one is set, less the fields named in drop."""
+    return {
+        name: value for name, value in vars(rec).items()
+        if name not in drop and not (name == "oracle_gap" and value is None)
+    }
+
+
+def assert_rejected_and_log_unchanged(entry, field):
+    good = [record(start=1), record(start=2)]
+    log = PeriodLog.of(good)
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        entry(log)
+    assert len(log) == 2
+    assert {len(col) for col in (*log.columns.values(), *log.theta.values())} == {2}
+    assert len(log.trace) == 4
+    assert [log.record(i) for i in range(2)] == good
+    log.append(record(start=3))
+    assert log.record(2) == record(start=3)
+
+
 class TestPeriodLog:
     def test_round_trips_records(self):
         recs = [record(start=i, trace=(i / 3, -i), theta={7: 1.0, 8: i * 0.1}) for i in range(5)]
@@ -120,28 +155,29 @@ class TestPeriodLog:
         assert list(log.columns["start"]) == [0, 1, 2, 3, 4]
         assert list(log.theta[8]) == [i * 0.1 for i in range(5)]
 
-    @pytest.mark.parametrize("bad, field", [
-        (record(trace=(1.0,)), "objective_trace"),
-        (record(theta={7: 1.0}), "theta"),
-        (record(theta={7: 1.0, 9: 2.0}), "theta"),
-        (record(oracle_gap=0.1), "oracle_gap"),
-        (record(start=1.5), "start"),
-        (record(excess_broadcasts=2**64), "excess_broadcasts"),
-        (record(c3=None), "c3"),
-        (record(trace=(1.0, "x")), "objective_trace"),
-        (record(theta={7: 1.0, 8: None}), "theta"),
-    ])
+    @pytest.mark.parametrize("bad, field", BAD_RECORDS)
     def test_mismatched_record_rejected_and_log_unchanged(self, bad, field):
-        good = [record(start=1), record(start=2)]
-        log = PeriodLog.of(good)
-        with pytest.raises(ValueError, match=f"^{field}: "):
-            log.append(bad)
-        assert len(log) == 2
-        assert {len(col) for col in (*log.columns.values(), *log.theta.values())} == {2}
-        assert len(log.trace) == 4
-        assert [log.record(i) for i in range(2)] == good
-        log.append(record(start=3))
-        assert log.record(2) == record(start=3)
+        assert_rejected_and_log_unchanged(lambda log: log.append(bad), field)
+
+    @pytest.mark.parametrize("bad, field", [
+        *((engine_row(rec), field) for rec, field in BAD_RECORDS),
+        (engine_row(record(), drop=("c3",)), "c3"),
+        (engine_row(record(), drop=("objective_trace",)), "objective_trace"),
+        ({**engine_row(record()), "drift": 0.5}, "drift"),
+    ])
+    def test_mismatched_row_rejected_and_log_unchanged(self, bad, field):
+        # add is the engine's entry: a row of keywords, one per stored field
+        assert_rejected_and_log_unchanged(lambda log: log.add(**bad), field)
+
+    def test_add_and_append_give_equal_rows(self):
+        recs = [record(start=i, trace=(i / 3, -i), theta={7: -0.0, 8: i * 0.1}) for i in range(4)]
+        by_add = PeriodLog(2, (7, 8))
+        for rec in recs:
+            by_add.add(**engine_row(rec))
+        by_append = PeriodLog.of(recs)
+        assert list(by_add.columns.items()) == list(by_append.columns.items())
+        assert by_add.trace == by_append.trace and by_add.theta == by_append.theta
+        assert [by_add.record(i) for i in range(4)] == recs
 
     def test_report_built_from_mismatched_records_names_the_field(self):
         with pytest.raises(ValueError, match="^theta: "):
