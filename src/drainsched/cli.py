@@ -53,7 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--seed", type=int, action="append", default=None)
     p_preset.add_argument("--horizon", type=int, default=None)
     p_preset.add_argument("--out", default=None, help="output directory (default out_<name>)")
-    p_preset.add_argument("--workers", type=int, default=1)
+    p_preset.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that run the grid's jobs (default 1: this process; more are spawned)",
+    )
 
     p_oracle = sub.add_parser("oracle-check", help="compare solver and oracle")
     p_oracle.add_argument("--instances", type=int, default=50)

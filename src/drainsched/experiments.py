@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import operator
+import warnings
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from pathlib import Path
 from .config import RunParams, SimConfig, parse_config, with_optimizer, with_qos
 from .control import QosSpec
 from .engine import MetricsReport, run_simulation
-from .network import ConfigError
+from .network import ConfigError, is_integer
 from .report import FlowMetrics
 
 PRESET_NAMES = ("fig3b-sweep", "table1", "table2", "custom")
@@ -127,6 +129,44 @@ def _run_point(job) -> tuple[dict[int, FlowMetrics], float | None]:
     return report.flows, _mean(report.periods.column("c3"))
 
 
+def _check_workers(workers) -> None:
+    if not is_integer(workers):
+        raise ConfigError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
+def _use_warning_filters(filters) -> None:
+    """Make this process's warnings.filters a copy of filters."""
+    warnings.resetwarnings()
+    warnings.filters.extend(filters)
+
+
+def run_jobs(
+    jobs: Sequence[tuple[SimConfig, int, int]], workers: int = 1
+) -> list[tuple[dict[int, FlowMetrics], float | None]]:
+    """Run each (config, seed, horizon) job; return its (flows, mean c3), in job order.
+
+    One worker, or fewer than two jobs, runs the jobs in this process. More
+    run them in a pool of min(workers, len(jobs)) processes started with
+    'spawn', so no worker inherits this process's state (channel's lock and
+    block cache among it). Each worker first takes this process's
+    warnings.filters, so a warning that is an error here is an error in a
+    job too. Raises ConfigError when workers is not an integer >= 1 (a bool
+    is not one).
+    """
+    _check_workers(workers)
+    if workers == 1 or len(jobs) < 2:
+        return list(map(_run_point, jobs))
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(jobs)),
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_use_warning_filters,
+        initargs=(tuple(warnings.filters),),
+    ) as pool:
+        return list(pool.map(_run_point, jobs))
+
+
 def _mean(values: Sequence[float]) -> float | None:
     """The mean of values summed left to right from 0.0, or None if empty.
 
@@ -171,13 +211,13 @@ def run_experiment(
 
     Writes <preset>_runs.csv (one row per grid point, seed, and flow),
     <preset>_summary.csv (seed-averaged), and <preset>_summary.json.
-    Returns the process exit status (0 on completion). Raises ConfigError,
-    before anything is written, when workers is below 1 or seeds or horizon
-    break RunParams' rule (an empty seed list, or a seed or horizon that is
-    not a nonnegative integer).
+    The runs go through run_jobs with the given workers. Returns the process
+    exit status (0 on completion). Raises ConfigError, before anything is
+    written, when workers is not an integer >= 1 or seeds or horizon break
+    RunParams' rule (an empty seed list, or a seed or horizon that is not a
+    nonnegative integer).
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     grid = build_grid(preset, config)
     run = RunParams(
         horizon_slots=grid[0].config.run.horizon_slots if horizon is None else horizon,
@@ -191,13 +231,9 @@ def run_experiment(
         print(f"cannot create output directory {out}: {exc}")
         return 2
 
-    # Jobs run grid point by grid point, seed by seed; both maps keep that order.
+    # Jobs run grid point by grid point, seed by seed; run_jobs keeps that order.
     jobs = [(point.config, seed, horizon) for point in grid for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_point, jobs))
-    else:
-        results = list(map(_run_point, jobs))
+    results = run_jobs(jobs, workers)
 
     digest = grid[0].config.digest()
     header = [

@@ -14,7 +14,7 @@ import pytest
 from drainsched.config import with_optimizer, with_qos, with_run
 from drainsched.control import QosSpec
 from drainsched.engine import run_simulation
-from drainsched.experiments import bundled_preset_config, run_experiment
+from drainsched.experiments import bundled_preset_config, run_experiment, run_jobs
 from drainsched.instances import instance_stream
 from drainsched.network import Halfspace
 from drainsched.optim import (
@@ -26,6 +26,13 @@ from drainsched.optim import (
 from drainsched.oracle import oracle_solve
 
 SEEDS = (1, 2, 3, 4, 5)
+# Criterion 6's mean-delay targets and criterion 7's deadline mix.
+MEAN_DELAY_TARGETS = {7: 40.0, 8: 25.0}
+DEADLINE_MIX = {
+    7: QosSpec(kind="hard_deadline", deadline_slots=180, drop_ratio_target=0.02,
+               theta_hat=2.0),
+    8: QosSpec(kind="mean_delay", target_slots=50.0, theta_hat=1.5),
+}
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -64,20 +71,32 @@ def checked_preset_run(preset_cfg):
 
 
 @pytest.fixture(scope="module")
-def iteration_pair(preset_cfg):
-    """Criterion 5 data: 1 vs 5 optimizer cycles, no QoS, five seeds each.
+def mesh_runs(preset_cfg):
+    """Criteria 5, 6 and 7 data: the flows of 20 1e5-slot mesh runs, five
+    seeds per config, from one run_jobs call on two workers.
 
-    Only each run's flows are kept; its ~14k period records are dropped.
+    Keyed by "deadline" (criterion 7), "targets" (criterion 6) and optimizer
+    cycles 5 and 1 (no QoS; criterion 5). Only each run's flows are
+    kept; its ~14k period records stay in the worker. The time is of all 20
+    runs.
     """
-    t0 = time.monotonic()
-    runs = {}
     base = with_qos(preset_cfg, {})
-    for cycles in (1, 5):
-        cfg = with_optimizer(base, cycles=cycles)
-        runs[cycles] = [
-            run_simulation(cfg, seed=seed).flows for seed in SEEDS
-        ]
-    return runs, time.monotonic() - t0
+    # The longest runs first, so that the two workers finish close together.
+    configs = {
+        "deadline": with_qos(preset_cfg, DEADLINE_MIX),
+        "targets": with_qos(preset_cfg, {
+            fid: QosSpec(kind="mean_delay", target_slots=t, theta_hat=6.0)
+            for fid, t in MEAN_DELAY_TARGETS.items()
+        }),
+        5: with_optimizer(base, cycles=5),
+        1: with_optimizer(base, cycles=1),
+    }
+    jobs = [(cfg, seed, 100_000) for cfg in configs.values() for seed in SEEDS]
+    t0 = time.monotonic()
+    flows = [f for f, _ in run_jobs(jobs, workers=2)]
+    elapsed = time.monotonic() - t0
+    n = len(SEEDS)
+    return {key: flows[i * n:(i + 1) * n] for i, key in enumerate(configs)}, elapsed
 
 
 def test_criterion_1_optimizer_vs_oracle(oracle_battery):
@@ -155,14 +174,14 @@ def test_criterion_4_interference_honesty(checked_preset_run):
     _report(4, ok, f"violations {rep.interference_violations} over 1e5 slots")
 
 
-def test_criterion_5_iteration_trend(iteration_pair):
-    runs, elapsed = iteration_pair
+def test_criterion_5_iteration_trend(mesh_runs):
+    runs, elapsed = mesh_runs
     means = {
         cycles: {
-            f: sum(flows[f].mean_delay for flows in reps) / len(reps)
+            f: sum(flows[f].mean_delay for flows in runs[cycles]) / len(runs[cycles])
             for f in (7, 8, 9)
         }
-        for cycles, reps in runs.items()
+        for cycles in (1, 5)
     }
     for f in (7, 8, 9):
         assert means[5][f] < means[1][f], (
@@ -177,18 +196,9 @@ def test_criterion_5_iteration_trend(iteration_pair):
     _report(5, True, f"{detail}; flow 8 ratio {ratio:.1f}x; {elapsed:.0f}s")
 
 
-def test_criterion_6_mean_delay_targets(preset_cfg):
-    targets = {7: 40.0, 8: 25.0}
-    qos = {
-        fid: QosSpec(kind="mean_delay", target_slots=t, theta_hat=6.0)
-        for fid, t in targets.items()
-    }
-    cfg = with_qos(preset_cfg, qos)
-    delays = {7: [], 8: [], 9: []}
-    for seed in SEEDS:
-        rep = run_simulation(cfg, horizon=100_000, seed=seed)
-        for f in delays:
-            delays[f].append(rep.flows[f].mean_delay)
+def test_criterion_6_mean_delay_targets(mesh_runs):
+    targets = MEAN_DELAY_TARGETS
+    delays = {f: [flows[f].mean_delay for flows in mesh_runs[0]["targets"]] for f in (7, 8, 9)}
     means = {f: sum(v) / len(v) for f, v in delays.items()}
     for fid, target in targets.items():
         assert means[fid] <= 1.25 * target, (
@@ -205,18 +215,10 @@ def test_criterion_6_mean_delay_targets(preset_cfg):
     )
 
 
-def test_criterion_7_deadline_mix(preset_cfg):
-    qos = {
-        7: QosSpec(kind="hard_deadline", deadline_slots=180, drop_ratio_target=0.02,
-                   theta_hat=2.0),
-        8: QosSpec(kind="mean_delay", target_slots=50.0, theta_hat=1.5),
-    }
-    cfg = with_qos(preset_cfg, qos)
-    drops, delays8 = [], []
-    for seed in SEEDS:
-        rep = run_simulation(cfg, horizon=100_000, seed=seed)
-        drops.append(rep.flows[7].drop_ratio)
-        delays8.append(rep.flows[8].mean_delay)
+def test_criterion_7_deadline_mix(mesh_runs):
+    runs = mesh_runs[0]["deadline"]
+    drops = [flows[7].drop_ratio for flows in runs]
+    delays8 = [flows[8].mean_delay for flows in runs]
     mean_drop = sum(drops) / len(drops)
     mean_d8 = sum(delays8) / len(delays8)
     assert mean_drop <= 0.03, f"drop ratio {mean_drop:.4f} above 3%"

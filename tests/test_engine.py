@@ -15,7 +15,7 @@ from conftest import longwin_config, record_reviews
 from drainsched import engine
 from drainsched.config import parse_config, with_optimizer, with_run
 from drainsched.engine import FlowMetrics, MetricsReport, Simulation, run_simulation
-from drainsched.experiments import bundled_preset_config, export_metrics
+from drainsched.experiments import bundled_preset_config, export_metrics, run_jobs
 from drainsched.network import ConfigError
 from drainsched.optim import objective
 from drainsched.oracle import oracle_solve
@@ -527,10 +527,8 @@ class TestRunSimulation:
         # At 10 optimizer cycles the mesh settles near 13 slots mean delay for
         # the two-hop flow; allow +-75% across seeds.
         cfg = with_optimizer(bundled_preset_config(), cycles=10)
-        delays = []
-        for seed in (1, 2, 3):
-            rep = run_simulation(cfg, seed=seed)
-            delays.append(rep.flows[8].mean_delay)
+        jobs = [(cfg, seed, cfg.run.horizon_slots) for seed in (1, 2, 3)]
+        delays = [flows[8].mean_delay for flows, _ in run_jobs(jobs, workers=2)]
         mean = sum(delays) / len(delays)
         assert 13.0 * 0.25 <= mean <= 13.0 * 1.75
 

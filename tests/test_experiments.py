@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -11,6 +12,7 @@ from drainsched.experiments import (
     export_metrics,
     report_from_json,
     run_experiment,
+    run_jobs,
 )
 from drainsched.network import ConfigError
 
@@ -95,6 +97,17 @@ class TestRunExperiment:
                 serial = (tmp_path / f"{preset}-1" / f"{preset}_{name}").read_bytes()
                 assert serial == (tmp_path / f"{preset}-2" / f"{preset}_{name}").read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2"])
+    def test_workers_must_be_an_integer_of_at_least_one(self, tmp_path, workers):
+        # run_jobs checks it, and run_experiment before it writes anything.
+        cfg = parse_config(SMALL_YAML)
+        with pytest.raises(ConfigError, match="workers must be"):
+            run_jobs([(cfg, 1, 10), (cfg, 2, 10)], workers=workers)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="workers must be"):
+            run_experiment("table2", out, seeds=[1], horizon=30, workers=workers)
+        assert not out.exists()
+
     # The ids of the seed cases are those pytest gave them before the
     # horizon cases were added.
     @pytest.mark.parametrize("seeds, horizon, key", [
@@ -133,6 +146,50 @@ class TestRunExperiment:
         assert payload["seeds"] == [1, 2]
         assert len(payload["runs"]) == 2
         assert set(payload["runs"][0]["flows"].keys()) == {"1"}
+
+
+class _WarningSeed(int):
+    """A seed that raises a RuntimeWarning where a run reads it as an int: a
+    stand-in for a numpy fault inside a job. Pooled jobs import it by name."""
+
+    def __int__(self):
+        warnings.warn("raised inside a job", RuntimeWarning)
+        return int.__int__(self)
+
+
+class TestRunJobs:
+    # Jobs of unequal length, so that pooled jobs finish out of order.
+    HORIZONS = (3000, 300, 0, 3000, 300, 0)
+
+    def test_results_in_job_order_and_equal_for_one_and_two_workers(self):
+        cfg = bundled_preset_config()
+        jobs = [(cfg, seed, h) for seed, h in enumerate(self.HORIZONS, start=1)]
+        serial = run_jobs(jobs, workers=1)
+        pooled = run_jobs(jobs, workers=2)
+        assert len(pooled) == len(jobs)
+        for (_, seed, h), (flows, c3), (pooled_flows, pooled_c3) in zip(jobs, serial, pooled):
+            assert flows == run_simulation(cfg, horizon=h, seed=seed).flows
+            # Every FlowMetrics field, the histograms included.
+            assert pooled_flows == flows
+            assert pooled_c3 == c3
+            assert (c3 is None) == (h == 0)
+        assert serial[0][0][8].histogram  # so the histograms compared are not all empty
+
+    def test_no_jobs_give_no_results(self):
+        assert run_jobs([], workers=2) == []
+
+    def test_pooled_jobs_keep_the_callers_warning_filters(self):
+        # pyproject.toml makes a RuntimeWarning an error in the test process;
+        # a pooled job must meet the same filter, and an ignoring caller's.
+        cfg = parse_config(SMALL_YAML)
+        jobs = [(cfg, 1, 50), (cfg, _WarningSeed(2), 50)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="raised inside a job"):
+                run_jobs(jobs, workers=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_jobs(jobs, workers=2) == run_jobs([(cfg, 1, 50), (cfg, 2, 50)])
 
 
 class TestExportMetrics:
