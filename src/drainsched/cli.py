@@ -30,8 +30,16 @@ from .optim import OptParams, objective, solve_review_optimization
 from .oracle import oracle_solve
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (its subcommands' too) are
+    ConfigErrors, so main reports them like any other bad input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drainsched",
         description="Slotted-time simulator for QoS scheduling in multihop wireless networks",
     )
@@ -75,7 +83,7 @@ def _cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for seed in run.seeds:
         trace_fh = None
-        if args.trace or config.run.trace:
+        if args.trace:
             trace_fh = open(out / f"trace_seed{seed}.jsonl", "w", encoding="utf-8")
         try:
             report = run_simulation(
@@ -138,8 +146,8 @@ def _cmd_oracle_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "preset":

@@ -30,8 +30,7 @@ class ChannelParams:
     noise_power: float = 1.0
     tx_power: float = 1.0
     log_base: str = "e"
-    gain_model: str = "rayleigh"
-    fixed_gain: float | None = None
+    fixed_gain: float | None = None  # set: every link's power gain; None: Rayleigh fading
 
     def __post_init__(self):
         if not 0 < self.rayleigh_scale_constant < math.inf:
@@ -42,17 +41,8 @@ class ChannelParams:
             raise ConfigError("channel.tx_power must be finite and > 0")
         if self.log_base not in ("e", "2"):
             raise ConfigError(f"channel.log_base must be 'e' or '2', got {self.log_base!r}")
-        if self.gain_model not in ("rayleigh", "fixed"):
-            raise ConfigError(
-                f"channel.gain_model must be 'rayleigh' or 'fixed', got {self.gain_model!r}"
-            )
-        if self.gain_model == "fixed":
-            if self.fixed_gain is None or not 0 <= self.fixed_gain < math.inf:
-                raise ConfigError(
-                    "channel.fixed_gain must be finite and >= 0 when gain_model is 'fixed'"
-                )
-        elif self.fixed_gain is not None:
-            raise ConfigError("channel.fixed_gain only applies when gain_model is 'fixed'")
+        if self.fixed_gain is not None and not 0 <= self.fixed_gain < math.inf:
+            raise ConfigError("channel.fixed_gain must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,7 +50,6 @@ class ControlParams:
     a1: float = 1.0
     a2: float = 1.0
     safety_stock_pkts: int = 5
-    theta_hat_default: float = 2.0
     qos: dict[int, QosSpec] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -76,8 +65,6 @@ class ControlParams:
             )
         # A numpy integer would turn the engine's packet counts into numpy scalars.
         object.__setattr__(self, "safety_stock_pkts", int(self.safety_stock_pkts))
-        if not 1.0 < self.theta_hat_default < math.inf:
-            raise ConfigError("control.theta_hat_default must be finite and > 1")
         for fid in self.qos:
             if not is_integer(fid):
                 raise ConfigError(f"control.qos: flow id {fid!r} is not an integer")
@@ -89,7 +76,6 @@ class ControlParams:
 class RunParams:
     horizon_slots: int = 100_000
     seeds: tuple[int, ...] = (1,)
-    trace: bool = False
 
     def __post_init__(self):
         if not is_integer(self.horizon_slots):
@@ -116,7 +102,7 @@ class SimConfig:
     def __post_init__(self):
         for fid in self.control.qos:
             if fid not in self.network.flow_ids:
-                raise _unknown_flow(fid)
+                raise ConfigError(f"control.qos: flow id {fid} matches no flow destination")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -125,10 +111,6 @@ class SimConfig:
         """Stable content hash, recorded in experiment output headers."""
         blob = json.dumps(self.to_dict(), sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _unknown_flow(fid: int) -> ConfigError:
-    return ConfigError(f"control.qos: flow id {fid} matches no flow destination")
 
 
 # -- strict mapping helpers ------------------------------------------------
@@ -178,12 +160,6 @@ def _listing(value: Any, path: str) -> list:
     return value
 
 
-def _boolean(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a boolean")
-    return value
-
-
 def _optional(check):
     return lambda value, path: None if value is None else check(value, path)
 
@@ -214,12 +190,15 @@ _CHECKS = {
     "int": _integer,
     "int | None": _optional(_integer),
     "str": lambda value, path: str(value),
-    "bool": _boolean,
     "tuple[int, ...]": _tuple_of(_integer),
     "tuple[tuple[int, ...], ...]": _tuple_of(_tuple_of(_integer)),
     "tuple[tuple[float, float], ...]": _tuple_of(_pair(_number, "x", "y")),
     "tuple[Link, ...]": _tuple_of(_pair(_integer, "i", "j")),
     "tuple[Flow, ...]": _tuple_of(lambda value, path: _params(Flow, value, path)),
+    "dict[int, QosSpec]": lambda value, path: {
+        fid: _params(QosSpec, spec, f"{path}[{fid}]")
+        for fid, spec in _mapping(value, path).items()
+    },
 }
 
 # The config key of each field whose key is not its name.
@@ -230,9 +209,6 @@ _RENAMED = {
     "interference_sets": "extra_interference_sets",
 }
 
-# The one field _parse_control reads apart: its specs' theta_hat defaults to another key.
-_READ_APART = (ControlParams, "qos")
-
 
 @cache
 def _fields_by_key(cls) -> dict[str, Field]:
@@ -242,27 +218,31 @@ def _fields_by_key(cls) -> dict[str, Field]:
 
 def _values(cls, sec: dict, path: str) -> dict:
     """The values of sec's keys as cls's field arguments, each checked by the
-    rule of its field's annotation; a required field must be present."""
+    rule of its field's annotation; a field with no default must be present."""
     by_key = _fields_by_key(cls)
     _check_keys(sec, by_key, path)
     return {
         f.name: _CHECKS[f.type](_get(sec, key, path), f"{path}.{key}")
         for key, f in by_key.items()
-        if (cls, f.name) != _READ_APART and (key in sec or f.default is MISSING)
+        if key in sec or f.default is f.default_factory is MISSING
     }
 
 
-def _params(cls, section: Any, path: str, **defaults):
+def _params(cls, section: Any, path: str):
     """Build the params dataclass cls from one YAML mapping, one key per field.
 
     A present key is checked by its field's annotation and cls's __post_init__;
-    an absent one keeps the field's default or its override in defaults.
+    an absent one keeps the field's default.
     """
-    kwargs = defaults | _values(cls, _mapping(section, path), path)
+    kwargs = _values(cls, _mapping(section, path), path)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
+    except ConfigError as exc:
+        message = str(exc)
+        if not message.startswith("qos"):
+            raise
+        # QosSpec's checks call the spec qos; name the control.qos entry read.
+        raise ConfigError(path + message.removeprefix("qos")) from None
     except ValueError as exc:  # OptParams raises plain ValueError
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -275,28 +255,6 @@ def _parse_network(section: Any) -> NetworkSpec:
     if not sec:
         raise ConfigError("network: section is required")
     return derive_interference_sets(NetworkSpec(**_values(NetworkSpec, sec, "network")))
-
-
-def _parse_control(section: Any, flow_ids: Collection[int]) -> ControlParams:
-    """The control section. A control.qos spec's theta_hat defaults to
-    control.theta_hat_default; a kind: none entry is checked, its flow id
-    included, and means no spec."""
-    sec = _mapping(section, "control")
-    params = _params(ControlParams, sec, "control")
-    qos: dict[int, QosSpec | None] = {}
-    for fid, item in _mapping(sec.get("qos"), "control.qos").items():
-        path = f"control.qos[{fid}]"
-        qsec = _mapping(item, path)
-        if qsec.get("kind") == "none":
-            _values(QosSpec, qsec, path)
-            qos[fid] = None
-        else:
-            qos[fid] = _params(QosSpec, qsec, path, theta_hat=params.theta_hat_default)
-    params = replace(params, qos=qos)  # every flow id is an integer
-    for fid, spec in qos.items():
-        if spec is None and fid not in flow_ids:  # SimConfig checks the specs' ids
-            raise _unknown_flow(fid)
-    return params
 
 
 def _strict_loader(base: type) -> type:
@@ -333,12 +291,11 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError(f"config: invalid YAML: {exc}") from None
     top = _mapping(doc, "config")
     _check_keys(top, _fields_by_key(SimConfig), "config")
-    network = _parse_network(top.get("network"))
     return SimConfig(
-        network=network,
+        network=_parse_network(top.get("network")),
         channel=_params(ChannelParams, top.get("channel"), "channel"),
         optimizer=_params(OptParams, top.get("optimizer"), "optimizer"),
-        control=_parse_control(top.get("control"), network.flow_ids),
+        control=_params(ControlParams, top.get("control"), "control"),
         run=_params(RunParams, top.get("run"), "run"),
     )
 

@@ -253,7 +253,7 @@ class Simulation:
 
     def _review(self, t: int) -> None:
         cfg = self.config
-        if cfg.channel.gain_model == "fixed":
+        if cfg.channel.fixed_gain is not None:
             gains = chan.fixed_gains(self.net, cfg.channel.fixed_gain)
         else:
             gains = chan.draw_gains(

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see one pass/fail line per
 criterion. The long-horizon mesh runs are shared between criteria through
-module-scoped fixtures.
+fixtures: conftest.py's mesh_runs, which also serves the engine's delay band
+test, and module-scoped ones here.
 """
 
 import math
@@ -11,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from drainsched.config import with_optimizer, with_qos, with_run
-from drainsched.control import QosSpec
+from conftest import MEAN_DELAY_TARGETS
+from drainsched.config import with_run
 from drainsched.engine import run_simulation
-from drainsched.experiments import bundled_preset_config, run_experiment, run_jobs
+from drainsched.experiments import bundled_preset_config, run_experiment
 from drainsched.instances import instance_stream
 from drainsched.network import Halfspace
 from drainsched.optim import (
@@ -24,15 +25,6 @@ from drainsched.optim import (
     solve_review_optimization,
 )
 from drainsched.oracle import oracle_solve
-
-SEEDS = (1, 2, 3, 4, 5)
-# Criterion 6's mean-delay targets and criterion 7's deadline mix.
-MEAN_DELAY_TARGETS = {7: 40.0, 8: 25.0}
-DEADLINE_MIX = {
-    7: QosSpec(kind="hard_deadline", deadline_slots=180, drop_ratio_target=0.02,
-               theta_hat=2.0),
-    8: QosSpec(kind="mean_delay", target_slots=50.0, theta_hat=1.5),
-}
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -68,35 +60,6 @@ def checked_preset_run(preset_cfg):
     return run_simulation(
         preset_cfg, horizon=100_000, seed=1, check_invariants=True
     )
-
-
-@pytest.fixture(scope="module")
-def mesh_runs(preset_cfg):
-    """Criteria 5, 6 and 7 data: the flows of 20 1e5-slot mesh runs, five
-    seeds per config, from one run_jobs call on two workers.
-
-    Keyed by "deadline" (criterion 7), "targets" (criterion 6) and optimizer
-    cycles 5 and 1 (no QoS; criterion 5). Only each run's flows are
-    kept; its ~14k period records stay in the worker. The time is of all 20
-    runs.
-    """
-    base = with_qos(preset_cfg, {})
-    # The longest runs first, so that the two workers finish close together.
-    configs = {
-        "deadline": with_qos(preset_cfg, DEADLINE_MIX),
-        "targets": with_qos(preset_cfg, {
-            fid: QosSpec(kind="mean_delay", target_slots=t, theta_hat=6.0)
-            for fid, t in MEAN_DELAY_TARGETS.items()
-        }),
-        5: with_optimizer(base, cycles=5),
-        1: with_optimizer(base, cycles=1),
-    }
-    jobs = [(cfg, seed, 100_000) for cfg in configs.values() for seed in SEEDS]
-    t0 = time.monotonic()
-    flows = [f for f, _ in run_jobs(jobs, workers=2)]
-    elapsed = time.monotonic() - t0
-    n = len(SEEDS)
-    return {key: flows[i * n:(i + 1) * n] for i, key in enumerate(configs)}, elapsed
 
 
 def test_criterion_1_optimizer_vs_oracle(oracle_battery):

@@ -11,7 +11,7 @@ network:
   links: [[0, 1]]
   flows:
     - {source: 0, destination: 1, rate_pkts_per_slot: 0.6, routes: [[0, 1]]}
-channel: {gain_model: fixed, fixed_gain: 4.0}
+channel: {fixed_gain: 4.0}
 control: {safety_stock_pkts: 0}
 run: {horizon_slots: 300, seeds: [1]}
 """
@@ -71,13 +71,13 @@ class TestRunCommand:
         assert not out.exists()  # checked before the output directory is made
 
     @pytest.mark.parametrize("channel, key", [
-        ("{gain_model: fixed, fixed_gain: .nan}", "channel.fixed_gain"),
-        ("{gain_model: fixed, fixed_gain: 4.0, noise_power: .inf}", "channel.noise_power"),
-        ("{gain_model: fixed, fixed_gain: 4.0, tx_power: .inf}", "channel.tx_power"),
-    ])
+        ("{fixed_gain: .nan}", "channel.fixed_gain"),
+        ("{fixed_gain: 4.0, noise_power: .inf}", "channel.noise_power"),
+        ("{fixed_gain: 4.0, tx_power: .inf}", "channel.tx_power"),
+    ], ids=["fixed_gain", "noise_power", "tx_power"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, channel, key):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(SMALL_YAML.replace("{gain_model: fixed, fixed_gain: 4.0}", channel))
+        bad.write_text(SMALL_YAML.replace("{fixed_gain: 4.0}", channel))
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
         assert f"config error: {key}: expected a finite number" in capsys.readouterr().err
@@ -86,8 +86,8 @@ class TestRunCommand:
         # Each channel value is finite, but gain * tx_power / noise is not.
         bad = tmp_path / "bad.yaml"
         bad.write_text(SMALL_YAML.replace(
-            "{gain_model: fixed, fixed_gain: 4.0}",
-            "{gain_model: fixed, fixed_gain: 1.0e+300, tx_power: 1.0e+300}",
+            "{fixed_gain: 4.0}",
+            "{fixed_gain: 1.0e+300, tx_power: 1.0e+300}",
         ))
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
@@ -99,7 +99,7 @@ class TestRunCommand:
         bad = tmp_path / "bad.yaml"
         bad.write_text(
             SMALL_YAML.replace("[0.5, 0.0]", "[1.0e-160, 0.0]")
-            .replace("{gain_model: fixed, fixed_gain: 4.0}", "{gain_model: rayleigh}")
+            .replace("{fixed_gain: 4.0}", "{}")
         )
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
@@ -111,7 +111,7 @@ class TestRunCommand:
         bad = tmp_path / "bad.yaml"
         bad.write_text(
             SMALL_YAML.replace("[0.5, 0.0]", f"[{far}, 0.0]")
-            .replace("{gain_model: fixed, fixed_gain: 4.0}", "{gain_model: rayleigh}")
+            .replace("{fixed_gain: 4.0}", "{}")
         )
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
@@ -140,6 +140,28 @@ class TestRunCommand:
         status = main(["run", "--config", str(tmp_path / "nope.yaml"),
                        "--out", str(tmp_path)])
         assert status == 2
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, message", [
+        (["preset", "table1", "--workers", "2.5"],
+         "drainsched preset: argument --workers: invalid int value: '2.5'"),
+        (["run", "--horizon", "2.5"],
+         "drainsched run: argument --horizon: invalid int value: '2.5'"),
+        (["run", "--seed", "1.5"], "drainsched run: argument --seed: invalid int value: '1.5'"),
+    ], ids=["workers", "horizon", "seed"])
+    def test_rejected_option_is_config_error(self, config_path, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        status = main(args + ["--config", str(config_path), "--out", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestPresetCommand:

@@ -3,18 +3,20 @@ import json
 import math
 import re
 from dataclasses import fields, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import yaml
 import pytest
 
+from drainsched import channel as chan
 from drainsched.config import (
     _CHECKS,
-    _READ_APART,
     _RENAMED,
     _StrictLoader,
     _strict_loader,
+    _values,
     ChannelParams,
     ControlParams,
     RunParams,
@@ -65,14 +67,21 @@ class TestDefaults:
 
     @pytest.mark.parametrize("cls", READ_CLASSES)
     def test_every_field_annotation_has_a_check(self, cls):
-        keyed = [f for f in fields(cls) if (cls, f.name) != _READ_APART]
-        assert {f.type for f in keyed} <= set(_CHECKS)
+        assert {f.type for f in fields(cls)} <= set(_CHECKS)
 
-    def test_control_qos_is_the_one_field_read_apart(self):
-        assert _READ_APART == (ControlParams, "qos")
-        assert [f.name for f in fields(Flow)] == [
-            "source", "destination", "routes", "arrival_rate"
-        ]
+    def test_no_field_is_read_apart(self):
+        # _values reads every key of a section that sets them all, and builds
+        # control.qos's specs itself.
+        doc = yaml.safe_load(EVERY_KEY)
+        sections = {
+            NetworkSpec: doc["network"], Flow: doc["network"]["flows"][0],
+            ChannelParams: doc["channel"], OptParams: doc["optimizer"],
+            ControlParams: doc["control"], RunParams: doc["run"],
+        }
+        for cls, sec in sections.items():
+            assert list(_values(cls, sec, "section")) == [f.name for f in fields(cls)]
+        qos = _values(ControlParams, doc["control"], "control")["qos"]
+        assert qos == parse_config(EVERY_KEY).control.qos
 
     def test_every_renamed_field_is_read(self):
         names = [f.name for cls in READ_CLASSES for f in fields(cls)]
@@ -90,12 +99,12 @@ network:
   flows:
     - {source: 0, destination: 1, rate_pkts_per_slot: 0.5, routes: [[0, 1]]}
     - {source: 0, destination: 2, rate_pkts_per_slot: 0.5, routes: [[0, 2]]}
+  extra_interference_sets: [[0, 1]]
 channel:
   rayleigh_scale_constant: 2.0
   noise_power: 0.5
   tx_power: 3.0
   log_base: 2
-  gain_model: fixed
   fixed_gain: 4.0
 optimizer:
   step_size: 0.0002
@@ -107,14 +116,12 @@ control:
   a1: 2.5
   a2: 0.5
   safety_stock_pkts: 2
-  theta_hat_default: 3.0
   qos:
     1: {kind: mean_delay, target_slots: 25}
     2: {kind: hard_deadline, deadline_slots: 40, drop_ratio_target: 0.1, theta_hat: 1.5}
 run:
   horizon_slots: 50
   seeds: [3, 4]
-  trace: true
 """
 
 
@@ -124,35 +131,60 @@ class TestKeyFieldMap:
         got = (cfg.channel, cfg.optimizer, cfg.control, cfg.run)
         want = (
             ChannelParams(rayleigh_scale_constant=2.0, noise_power=0.5, tx_power=3.0,
-                          log_base="2", gain_model="fixed", fixed_gain=4.0),
+                          log_base="2", fixed_gain=4.0),
             OptParams(step_size=2e-4, cycles=3, projection_repeats=4, init_mode="zeros",
                       divisor_mode="links"),
-            ControlParams(a1=2.5, a2=0.5, safety_stock_pkts=2, theta_hat_default=3.0, qos={
-                1: QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=3.0),
+            ControlParams(a1=2.5, a2=0.5, safety_stock_pkts=2, qos={
+                1: QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=2.0),
                 2: QosSpec(kind="hard_deadline", deadline_slots=40, drop_ratio_target=0.1,
                            theta_hat=1.5),
             }),
-            RunParams(horizon_slots=50, seeds=(3, 4), trace=True),
+            RunParams(horizon_slots=50, seeds=(3, 4)),
         )
         # repr, unlike ==, tells 25 from 25.0, and so does the config digest
         assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("section, allowed", [
-        ("channel", "rayleigh_scale_constant, noise_power, tx_power, log_base, gain_model, "
-                    "fixed_gain"),
+        ("channel", "rayleigh_scale_constant, noise_power, tx_power, log_base, fixed_gain"),
         ("optimizer", "step_size, cycles, projection_repeats, init_mode, projection_divisor"),
-        ("control", "a1, a2, safety_stock_pkts, theta_hat_default, qos"),
-        ("run", "horizon_slots, seeds, trace"),
+        ("control", "a1, a2, safety_stock_pkts, qos"),
+        ("run", "horizon_slots, seeds"),
         ("control.qos[1]", "kind, target_slots, deadline_slots, drop_ratio_target, theta_hat"),
     ])
     def test_unknown_key_lists_allowed_keys_in_order(self, section, allowed):
         if section == "control.qos[1]":
-            doc = MINIMAL + "\ncontrol: {qos: {1: {kind: none, bogus: 1}}}\n"
+            doc = MINIMAL + "\ncontrol: {qos: {1: {kind: mean_delay, bogus: 1}}}\n"
         else:
             doc = MINIMAL + f"\n{section}: {{bogus: 1}}\n"
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert str(exc.value) == f"{section}: unknown key 'bogus' (allowed: {allowed})"
+
+    @pytest.mark.parametrize("section, message", [
+        ("channel: {gain_model: rayleigh}",
+         "channel: unknown key 'gain_model' (allowed: rayleigh_scale_constant, noise_power, "
+         "tx_power, log_base, fixed_gain)"),
+        ("control: {theta_hat_default: 2.0}",
+         "control: unknown key 'theta_hat_default' (allowed: a1, a2, safety_stock_pkts, qos)"),
+        ("run: {trace: true}", "run: unknown key 'trace' (allowed: horizon_slots, seeds)"),
+        ("control: {qos: {1: {kind: none}}}",
+         "control.qos[1].kind must be one of ('mean_delay', 'hard_deadline'), got 'none'"),
+    ], ids=["gain_model", "theta_hat_default", "trace", "kind-none"])
+    def test_removed_switch_rejected(self, section, message):
+        # One switch per setting: fixed_gain alone selects the fixed channel,
+        # a spec's theta_hat defaults to QosSpec's, --trace alone writes the
+        # trace, and a flow with no spec has no entry.
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + "\n" + section + "\n")
+        assert str(exc.value) == message
+
+    def test_fixed_gain_alone_selects_the_fixed_channel(self, monkeypatch):
+        def draw_gains(*args):
+            raise AssertionError("Rayleigh gains drawn for a fixed channel")
+
+        monkeypatch.setattr(chan, "draw_gains", draw_gains)
+        cfg = parse_config(MINIMAL + "\nchannel: {fixed_gain: 4.0}\n")
+        assert run_simulation(cfg, horizon=20, seed=1).flows[1].delivered > 0
 
 
 class TestErrors:
@@ -189,13 +221,6 @@ control:
         with pytest.raises(ConfigError, match="flow id 9"):
             parse_config(doc)
 
-    def test_qos_kind_none_for_unknown_flow(self):
-        # A kind: none entry is dropped from control.qos, but its flow id is
-        # checked like any other kind's.
-        with pytest.raises(ConfigError) as exc:
-            parse_config(MINIMAL + "\ncontrol: {qos: {9: {kind: none}}}\n")
-        assert str(exc.value) == "control.qos: flow id 9 matches no flow destination"
-
     def test_invalid_yaml(self):
         with pytest.raises(ConfigError, match="invalid YAML"):
             parse_config("network: [unclosed")
@@ -206,7 +231,6 @@ control:
             parse_config(doc)
 
     @pytest.mark.parametrize("section, message", [
-        ("run: {trace: 1}", "run.trace: expected a boolean"),
         ("run: {seeds: [2, 1.5]}", r"run.seeds\[1\]: expected an integer, got 1.5"),
         ("optimizer: {cycles: 2.0}", "^optimizer.cycles: expected an integer, got 2.0"),
         ("control: {qos: {1: {kind: hard_deadline, deadline_slots: 4.5}}}",
@@ -233,8 +257,6 @@ control:
     def test_non_finite_channel_value_named(self, field, value):
         # dataclasses.replace skips the YAML parser; the channel checks still apply
         channel = parse_config(MINIMAL).channel
-        if field == "fixed_gain":
-            channel = replace(channel, gain_model="fixed", fixed_gain=1.0)
         with pytest.raises(ConfigError, match=f"channel.{field} must be finite"):
             replace(channel, **{field: value})
 
@@ -242,7 +264,6 @@ control:
         ("a1", math.nan),
         ("a2", math.inf),
         ("safety_stock_pkts", math.nan),
-        ("theta_hat_default", math.inf),
     ])
     def test_non_finite_control_value_named(self, field, value):
         control = parse_config(MINIMAL).control
@@ -340,11 +361,6 @@ control:
         assert cfg.digest() == with_value(value).digest()
         assert cfg == with_value(value)
 
-    def test_fixed_gain_requires_fixed_model(self):
-        doc = MINIMAL + "\nchannel: {fixed_gain: 1.0}\n"
-        with pytest.raises(ConfigError, match="fixed_gain"):
-            parse_config(doc)
-
     def test_negative_seed_rejected(self):
         doc = MINIMAL + "\nrun: {seeds: [-1]}\n"
         with pytest.raises(ConfigError, match="seeds"):
@@ -361,13 +377,12 @@ class TestQosParsing:
     def test_qos_keyed_by_flow_id(self):
         doc = MINIMAL + """
 control:
-  theta_hat_default: 3.0
   qos:
     1: {kind: mean_delay, target_slots: 25}
 """
         cfg = parse_config(doc)
         spec = cfg.control.qos[1]
-        assert spec == QosSpec(kind="mean_delay", target_slots=25.0, theta_hat=3.0)
+        assert spec == QosSpec(kind="mean_delay", target_slots=25.0)
 
     def test_hard_deadline_parsing(self):
         doc = MINIMAL + """
@@ -380,14 +395,32 @@ control:
         assert spec.deadline_slots == 180
         assert spec.drop_ratio_target == 0.02
 
-    def test_kind_none_means_no_spec(self):
-        doc = MINIMAL + """
-control:
-  qos:
-    1: {kind: none}
-"""
-        cfg = parse_config(doc)
-        assert cfg.control.qos == {}
+    @pytest.mark.parametrize("spec, message", [
+        ("{kind: mean_delay}", ": mean_delay requires a finite target_slots > 0"),
+        ("{kind: mean_delay, target_slots: 5, deadline_slots: 9}",
+         ": mean_delay takes only target_slots"),
+        ("{kind: hard_deadline, drop_ratio_target: 0.1}",
+         ": hard_deadline requires a finite deadline_slots > 0"),
+        ("{kind: hard_deadline, deadline_slots: 9}",
+         ": hard_deadline requires drop_ratio_target in (0, 1)"),
+        ("{kind: hard_deadline, deadline_slots: 9, drop_ratio_target: 0.1, target_slots: 5}",
+         ": hard_deadline takes no target_slots"),
+        ("{kind: mean_delay, target_slots: 5, theta_hat: 1.0}",
+         ".theta_hat must be finite and > 1, got 1.0"),
+        ("{kind: deadline}", ".kind must be one of ('mean_delay', 'hard_deadline'), got 'deadline'"),
+    ])
+    def test_spec_error_names_its_flow(self, spec, message):
+        # Flow 7's spec is good and flow 8's is not: the parsed entry's error
+        # names flow 8, where the same spec built in code is called qos.
+        text = resources.files("drainsched.presets").joinpath("mesh10.yaml").read_text()
+        qos = f"  qos: {{7: {{kind: mean_delay, target_slots: 40}}, 8: {spec}}}\n"
+        text = text.replace("  safety_stock_pkts: 5\n", "  safety_stock_pkts: 5\n" + qos)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == "control.qos[8]" + message
+        with pytest.raises(ConfigError) as exc:
+            QosSpec(**yaml.safe_load(spec))
+        assert str(exc.value) == "qos" + message
 
     @pytest.mark.parametrize("entry, message", [
         ("{kind: none, target_slots: abc, theta_hat: .nan}",
@@ -503,7 +536,7 @@ class TestBundledPreset:
     def test_digest_is_pinned(self):
         # Every experiment CSV header records this digest; a default read with
         # another type (1 instead of 1.0) changes it.
-        assert bundled_preset_config().digest() == "e666eced60a14303"
+        assert bundled_preset_config().digest() == "ffc039b8e7c4ffec"
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "net.yaml"

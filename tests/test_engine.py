@@ -13,9 +13,9 @@ import pytest
 
 from conftest import longwin_config, record_reviews
 from drainsched import engine
-from drainsched.config import parse_config, with_optimizer, with_run
+from drainsched.config import parse_config, with_run
 from drainsched.engine import FlowMetrics, MetricsReport, Simulation, run_simulation
-from drainsched.experiments import bundled_preset_config, export_metrics, run_jobs
+from drainsched.experiments import bundled_preset_config, export_metrics
 from drainsched.network import ConfigError
 from drainsched.optim import objective
 from drainsched.oracle import oracle_solve
@@ -26,7 +26,7 @@ network:
   links: [[0, 1]]
   flows:
     - {{source: 0, destination: 1, rate_pkts_per_slot: {rate}, routes: [[0, 1]]}}
-channel: {{gain_model: fixed, fixed_gain: {gain}}}
+channel: {{fixed_gain: {gain}}}
 control: {{safety_stock_pkts: {stock}}}
 run: {{horizon_slots: {horizon}, seeds: [3]}}
 """
@@ -43,7 +43,7 @@ network:
   links: [[0, 1], [1, 2]]
   flows:
     - {source: 0, destination: 2, rate_pkts_per_slot: 0.0, routes: [[0, 1, 2]]}
-channel: {gain_model: fixed, fixed_gain: 8.0}
+channel: {fixed_gain: 8.0}
 control:
   safety_stock_pkts: 0
   qos:
@@ -63,7 +63,7 @@ network:
     - {{source: 0, destination: 2, rate_pkts_per_slot: {rate}, routes: [[0, 1, 2]]}}
     - {{source: 1, destination: 2, rate_pkts_per_slot: 0.5, routes: [[1, 2]]}}
 {extra}
-channel: {{gain_model: fixed, fixed_gain: 8.0}}
+channel: {{fixed_gain: 8.0}}
 control:
   safety_stock_pkts: 0
   qos:
@@ -82,7 +82,7 @@ network:
   links: [[0, 1]]
   flows:
     - {source: 0, destination: 1, rate_pkts_per_slot: 0.0, routes: [[0, 1]]}
-channel: {gain_model: fixed, fixed_gain: 8.0}
+channel: {fixed_gain: 8.0}
 control:
   safety_stock_pkts: 0
   qos:
@@ -523,12 +523,10 @@ class TestRunSimulation:
                 assert value == pytest.approx(objective(argmax, wv), abs=1e-9)
                 assert objective(s, wv) <= value + 1e-9
 
-    def test_mesh_delay_at_ten_cycles_in_expected_band(self):
+    def test_mesh_delay_at_ten_cycles_in_expected_band(self, mesh_runs):
         # At 10 optimizer cycles the mesh settles near 13 slots mean delay for
-        # the two-hop flow; allow +-75% across seeds.
-        cfg = with_optimizer(bundled_preset_config(), cycles=10)
-        jobs = [(cfg, seed, cfg.run.horizon_slots) for seed in (1, 2, 3)]
-        delays = [flows[8].mean_delay for flows, _ in run_jobs(jobs, workers=2)]
+        # the two-hop flow; allow +-75% across seeds 1-3.
+        delays = [flows[8].mean_delay for flows in mesh_runs[0][10]]
         mean = sum(delays) / len(delays)
         assert 13.0 * 0.25 <= mean <= 13.0 * 1.75
 

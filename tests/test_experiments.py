@@ -22,7 +22,7 @@ network:
   links: [[0, 1]]
   flows:
     - {source: 0, destination: 1, rate_pkts_per_slot: 0.6, routes: [[0, 1]]}
-channel: {gain_model: fixed, fixed_gain: 4.0}
+channel: {fixed_gain: 4.0}
 control: {safety_stock_pkts: 0}
 run: {horizon_slots: 400, seeds: [1]}
 """

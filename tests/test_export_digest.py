@@ -25,9 +25,9 @@ def links_divisor_config():
 
 
 def fixed_gain_config():
-    """mesh10 with channel.gain_model = fixed and fixed_gain = 4."""
+    """mesh10 with channel.fixed_gain = 4."""
     cfg = bundled_preset_config()
-    return replace(cfg, channel=replace(cfg.channel, gain_model="fixed", fixed_gain=4.0))
+    return replace(cfg, channel=replace(cfg.channel, fixed_gain=4.0))
 
 
 @pytest.mark.parametrize("build, horizon, sha256", [
@@ -50,14 +50,14 @@ def test_json_export_digest(tmp_path, build, horizon, sha256):
 # move with SimConfig's layout even when every simulated number stays.
 EXPERIMENT_SHA256 = {
     "table2": {
-        "_runs.csv": "c4d8c0232be0968b5153af6503678e774de6a5f9edc9e0bd5a11eb1f77647ca7",
-        "_summary.csv": "488820a848370a7995aa8b124d857e31b87a72ea3ef06c1c9b5d4b8ea5a9f833",
-        "_summary.json": "2e46584d80435911d4cfec5d3f04a2a6920594c279ff7b8b46d007b4b045d807",
+        "_runs.csv": "70d304ae97da89d087c9b98c6b3fb3cdb6c03a24d66b537050bff8e57c2c68b4",
+        "_summary.csv": "e51cfb64626c17436e2dad85b630ed7dc72c33ce4a8df45ac4e7813b7ff95506",
+        "_summary.json": "92046f8d25f6fca9882918805e6f2de921601802a788eff2a0b21531544a76c8",
     },
     "fig3b-sweep": {
-        "_runs.csv": "804057037baebbf7dc8d155e24048a9f4139d07abdbcc9e1106e6465f0177844",
-        "_summary.csv": "c41f1a4758c7277716ea5babf7ee484f6754831e6ad4cf9c1b9ffa0b4508c6aa",
-        "_summary.json": "a0fa4303a17f739acf2fe96417ae42230600bdd9a7e5af0d0636289a3a74f6fb",
+        "_runs.csv": "43c543f5a424dffd41a3524490626bfa8e42a4d989325eb58490e71cfbcf075e",
+        "_summary.csv": "6975f6b3d4ff526d9490379250c946a8c9229b93d322655a9506a84963ebff28",
+        "_summary.json": "57a1a4b0352c60f7bacff5b5cec9f03d1f4f219b890c18e9f9bdc37647997392",
     },
 }
 
