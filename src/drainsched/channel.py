@@ -127,6 +127,8 @@ def _derive_block(seed: int, block: int) -> np.ndarray:
 
 
 def _nonnegative_int(value, name: str) -> int:
+    # Not network.integer: draw_gains documents a TypeError for a seed or
+    # period that is not an integer and a ValueError for a negative one.
     if not is_integer(value):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     n = int(value)
@@ -205,14 +207,15 @@ def rate_table(
     """Link rates in bits/slot for one period's power gains.
 
     Each rate is the Shannon-style log(1 + gain * power / noise), natural log
-    by default or base 2; the arguments shared by every link are checked once.
+    by default or base 2; the arguments shared by every link are checked once
+    (power and noise must be finite and > 0, else a ValueError).
     A finite gain whose gain * power / noise overflows to inf is a ConfigError
     naming the link: its rate would be infinite.
     """
-    if power <= 0:
-        raise ValueError(f"power must be > 0, got {power}")
-    if noise <= 0:
-        raise ValueError(f"noise must be > 0, got {noise}")
+    if not 0 < power < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"power must be finite and > 0, got {power}")
+    if not 0 < noise < math.inf:
+        raise ValueError(f"noise must be finite and > 0, got {noise}")
     if base not in ("e", "2"):
         raise ValueError(f"log base must be 'e' or '2', got {base!r}")
     ln2 = math.log(2.0) if base == "2" else None

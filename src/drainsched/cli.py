@@ -18,14 +18,9 @@ from pathlib import Path
 
 from .config import RunParams, load_config
 from .engine import run_simulation
-from .experiments import (
-    DEFAULT_SEEDS,
-    PRESET_NAMES,
-    export_metrics,
-    run_experiment,
-)
+from .experiments import PRESET_NAMES, export_metrics, run_experiment
 from .instances import instance_stream
-from .network import ConfigError
+from .network import ConfigError, integer
 from .optim import OptParams, objective, solve_review_optimization
 from .oracle import oracle_solve
 
@@ -104,9 +99,8 @@ def _cmd_run(args) -> int:
 def _cmd_preset(args) -> int:
     config = load_config(args.config) if args.config else None
     out = args.out if args.out else f"out_{args.name}"
-    seeds = args.seed if args.seed else DEFAULT_SEEDS
     status = run_experiment(
-        args.name, out, seeds=seeds, horizon=args.horizon,
+        args.name, out, seeds=args.seed, horizon=args.horizon,
         workers=args.workers, config=config,
     )
     if status == 0:
@@ -115,17 +109,12 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.instances < 1:
-        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
-    if args.base_seed < 0:
-        raise ConfigError(f"--base-seed must be >= 0, got {args.base_seed}")
-    try:
-        base = OptParams(cycles=args.cycles)
-    except ValueError as exc:
-        raise ConfigError(f"--cycles: {exc}") from None
+    instances = integer(args.instances, "--instances", 1)
+    base_seed = integer(args.base_seed, "--base-seed", 0)
+    base = OptParams(cycles=integer(args.cycles, "--cycles", 1))
     worst_gap = 0.0
     failures = 0
-    for inst in instance_stream(args.instances, base_seed=args.base_seed):
+    for inst in instance_stream(instances, base_seed=base_seed):
         params = replace(base, step_size=inst.step_size)
         s, diag = solve_review_optimization(inst.weights, inst.constraints, params)
         _, best = oracle_solve(inst.weights, inst.constraints)
@@ -141,7 +130,7 @@ def _cmd_oracle_check(args) -> int:
             f"solver {got:.6g}, gap {gap:.3g}, c3 {diag.c3:.3g} "
             f"{'ok' if ok else 'VIOLATION'}"
         )
-    print(f"{args.instances} instances, worst gap {worst_gap:.3g}, failures {failures}")
+    print(f"{instances} instances, worst gap {worst_gap:.3g}, failures {failures}")
     return 0 if failures == 0 else 2
 
 

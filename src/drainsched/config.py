@@ -20,7 +20,7 @@ from typing import Any
 import yaml
 
 from .control import QosSpec
-from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets, is_integer
+from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets, integer, is_integer
 from .optim import OptParams
 
 
@@ -57,19 +57,15 @@ class ControlParams:
             raise ConfigError("control.a1 must be finite and > 0")
         if not 0 < self.a2 < math.inf:
             raise ConfigError("control.a2 must be finite and > 0")
-        if not 0 <= self.safety_stock_pkts < math.inf:
-            raise ConfigError("control.safety_stock_pkts must be finite and >= 0")
-        if not is_integer(self.safety_stock_pkts):
-            raise ConfigError(
-                f"control.safety_stock_pkts must be an integer, got {self.safety_stock_pkts!r}"
-            )
-        # A numpy integer would turn the engine's packet counts into numpy scalars.
-        object.__setattr__(self, "safety_stock_pkts", int(self.safety_stock_pkts))
-        for fid in self.qos:
-            if not is_integer(fid):
-                raise ConfigError(f"control.qos: flow id {fid!r} is not an integer")
-        # None is no spec; a numpy integer id would give the same config another digest.
-        object.__setattr__(self, "qos", {int(f): q for f, q in self.qos.items() if q is not None})
+        object.__setattr__(self, "safety_stock_pkts",
+                           integer(self.safety_stock_pkts, "control.safety_stock_pkts", 0))
+        # A flow without QoS has no entry.
+        for fid, spec in self.qos.items():
+            if not isinstance(spec, QosSpec):
+                raise ConfigError(f"control.qos[{fid!r}] must be a QosSpec, got {spec!r}")
+        object.__setattr__(self, "qos", {
+            integer(fid, "control.qos: flow id", 0): spec for fid, spec in self.qos.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -78,17 +74,13 @@ class RunParams:
     seeds: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if not is_integer(self.horizon_slots):
-            raise ConfigError(f"run.horizon_slots must be an integer, got {self.horizon_slots!r}")
-        if self.horizon_slots < 0:
-            raise ConfigError("run.horizon_slots must be >= 0")
-        # A numpy integer would give the same run another config digest.
-        object.__setattr__(self, "horizon_slots", int(self.horizon_slots))
+        object.__setattr__(self, "horizon_slots",
+                           integer(self.horizon_slots, "run.horizon_slots", 0))
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
-        if not all(is_integer(s) and s >= 0 for s in self.seeds):
-            raise ConfigError("run.seeds must be nonnegative integers")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(
+            integer(seed, f"run.seeds[{i}]", 0) for i, seed in enumerate(self.seeds)
+        ))
 
 
 @dataclass(frozen=True)
@@ -149,6 +141,9 @@ def _number(value: Any, path: str) -> float:
 
 
 def _integer(value: Any, path: str) -> int:
+    # Only the type: a YAML value is checked where it is read, with its element
+    # path and the parser's "path: expected ..." form; its bound is the field's
+    # own rule (network.integer), met when the dataclass is built.
     if not is_integer(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
@@ -243,8 +238,6 @@ def _params(cls, section: Any, path: str):
             raise
         # QosSpec's checks call the spec qos; name the control.qos entry read.
         raise ConfigError(path + message.removeprefix("qos")) from None
-    except ValueError as exc:  # OptParams raises plain ValueError
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 # -- section parsers --------------------------------------------------------
@@ -308,8 +301,9 @@ def load_config(path) -> SimConfig:
 # -- programmatic variants (used by presets and tests) -----------------------
 
 
-def with_qos(config: SimConfig, qos_map: dict[int, QosSpec | None]) -> SimConfig:
-    """Return config with control.qos set to qos_map (by flow id; None is no spec)."""
+def with_qos(config: SimConfig, qos_map: dict[int, QosSpec]) -> SimConfig:
+    """Return config with control.qos set to qos_map (a QosSpec by flow id; a
+    flow without QoS has no entry)."""
     return replace(config, control=replace(config.control, qos=qos_map))
 
 

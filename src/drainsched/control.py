@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .network import ConfigError, ConstraintSet, is_integer
+from .network import ConfigError, ConstraintSet, integer
 
 if TYPE_CHECKING:
     from .report import FlowMetrics
@@ -49,13 +49,11 @@ class QosSpec:
             if self.deadline_slots is not None or self.drop_ratio_target is not None:
                 raise ConfigError("qos: mean_delay takes only target_slots")
         else:
-            if self.deadline_slots is None or not 0 < self.deadline_slots < math.inf:
+            if self.deadline_slots is None:
                 raise ConfigError("qos: hard_deadline requires a finite deadline_slots > 0")
-            if not is_integer(self.deadline_slots):
-                raise ConfigError(
-                    f"qos.deadline_slots must be an integer, got {self.deadline_slots!r}"
-                )
-            object.__setattr__(self, "deadline_slots", int(self.deadline_slots))
+            object.__setattr__(
+                self, "deadline_slots", integer(self.deadline_slots, "qos.deadline_slots", 1)
+            )
             if self.drop_ratio_target is None or not 0 < self.drop_ratio_target < 1:
                 raise ConfigError("qos: hard_deadline requires drop_ratio_target in (0, 1)")
             if self.target_slots is not None:
@@ -83,21 +81,22 @@ def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 
 
 
 def update_qos_weights(
-    specs: Mapping[int, QosSpec | None], flows: Mapping[int, FlowMetrics]
+    specs: Mapping[int, QosSpec], flows: Mapping[int, FlowMetrics]
 ) -> dict[int, float]:
-    """Priority weight per flow from destination statistics only.
+    """Priority weight of every flow in flows, by ascending flow id, from
+    destination statistics only.
 
     Reads delivered, delay_sum and late of each flow's FlowMetrics. A flow
     weighs theta_hat while its requirement is strictly violated
     (empirical mean delay above target, or late fraction above the drop
-    target). Flows without a requirement, or without any delivery yet,
+    target). Flows without a spec in specs, or without any delivery yet,
     weigh 1.
     """
     out: dict[int, float] = {}
-    for fid in sorted(specs):
-        spec = specs[fid]
-        c = flows.get(fid)
-        if spec is None or c is None or c.delivered == 0:
+    for fid in sorted(flows):
+        spec = specs.get(fid)
+        c = flows[fid]
+        if spec is None or c.delivered == 0:
             out[fid] = 1.0
         elif spec.kind == "mean_delay":
             out[fid] = spec.theta_hat if c.delay_sum / c.delivered > spec.target_slots else 1.0

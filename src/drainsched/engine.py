@@ -173,15 +173,8 @@ class Simulation:
         self._tx_cum = [0] * nq
 
         self._flows = {fid: FlowMetrics() for fid in net.flow_ids}
-        self._qspecs = {fid: config.control.qos.get(fid) for fid in net.flow_ids}
-        self._deadline = {
-            fid: (spec.deadline_slots if spec and spec.kind == "hard_deadline" else None)
-            for fid, spec in self._qspecs.items()
-        }
-        self._theta_hat_max = max(
-            [spec.theta_hat for spec in self._qspecs.values() if spec is not None],
-            default=1.0,
-        )
+        qos = config.control.qos
+        self._theta_hat_max = max([spec.theta_hat for spec in qos.values()], default=1.0)
         # Per coordinate: (queue, next-hop queue or -1 at the destination, flow
         # record, its histogram, deadline or a delay no packet exceeds).
         self._coords = [
@@ -190,7 +183,7 @@ class Simulation:
                 -1 if j == f else qpos[(j, f)],
                 self._flows[f],
                 self._flows[f].histogram,
-                math.inf if self._deadline[f] is None else self._deadline[f],
+                qos[f].deadline_slots if f in qos and qos[f].kind == "hard_deadline" else math.inf,
             )
             for (i, j, f) in entries
         ]
@@ -271,7 +264,7 @@ class Simulation:
                 f"channel: link {link}: power gain {gains[link]!r} gives an infinite rate"
             ) from None
 
-        theta = update_qos_weights(self._qspecs, self._flows)
+        theta = update_qos_weights(cfg.control.qos, self._flows)
         qlen = self._qlen
         w = list(map(operator.mul, map(theta.__getitem__, self._f_of),
                      map(qlen.__getitem__, self._qidx_of)))

@@ -31,7 +31,7 @@ from pathlib import Path
 from .config import RunParams, SimConfig, parse_config, with_optimizer, with_qos
 from .control import QosSpec
 from .engine import MetricsReport, run_simulation
-from .network import ConfigError, is_integer
+from .network import ConfigError, integer
 from .report import FlowMetrics
 
 PRESET_NAMES = ("fig3b-sweep", "table1", "table2", "custom")
@@ -129,13 +129,6 @@ def _run_point(job) -> tuple[dict[int, FlowMetrics], float | None]:
     return report.flows, _mean(report.periods.column("c3"))
 
 
-def _check_workers(workers) -> None:
-    if not is_integer(workers):
-        raise ConfigError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
-
 def _use_warning_filters(filters) -> None:
     """Make this process's warnings.filters a copy of filters."""
     warnings.resetwarnings()
@@ -155,7 +148,7 @@ def run_jobs(
     job too. Raises ConfigError when workers is not an integer >= 1 (a bool
     is not one).
     """
-    _check_workers(workers)
+    workers = integer(workers, "workers", 1)
     if workers == 1 or len(jobs) < 2:
         return list(map(_run_point, jobs))
     with ProcessPoolExecutor(
@@ -217,7 +210,7 @@ def run_experiment(
     RunParams' rule (an empty seed list, or a seed or horizon that is not a
     nonnegative integer).
     """
-    _check_workers(workers)
+    workers = integer(workers, "workers", 1)
     grid = build_grid(preset, config)
     run = RunParams(
         horizon_slots=grid[0].config.run.horizon_slots if horizon is None else horizon,

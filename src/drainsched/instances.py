@@ -34,6 +34,7 @@ from .network import (
 from .optim import WeightVector
 
 INSTANCE_DOMAIN = 7  # seed-sequence tag for instance generation
+MAX_COORDS = 6  # the most coordinates an instance has; every topology has at least 2
 _REGIMES = (1.0, 10.0, 100.0, 1000.0)
 _STEP_PER_VISIT = 0.025
 _STEP_CAP = 0.2
@@ -76,12 +77,8 @@ def _random_topology(rng) -> NetworkSpec | None:
         return None  # a same-destination pair formed a directed cycle; retry
 
 
-def random_instance(seed: int, max_coords: int = 6) -> RandomInstance:
-    """Deterministically generate one instance with 2..max_coords coordinates."""
-    # Every topology has at least 2 coordinates: a smaller bound (or NaN)
-    # would reject every draw and never return.
-    if not max_coords >= 2:
-        raise ValueError(f"max_coords must be >= 2, got {max_coords!r}")
+def random_instance(seed: int) -> RandomInstance:
+    """Deterministically generate one instance with 2..MAX_COORDS coordinates."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(INSTANCE_DOMAIN,))
     )
@@ -91,7 +88,7 @@ def random_instance(seed: int, max_coords: int = 6) -> RandomInstance:
             continue
         entries = build_link_flow_index(spec)
         n = len(entries)
-        if not 2 <= n <= max_coords:
+        if not 2 <= n <= MAX_COORDS:
             continue
         constraints = build_constraints(entries, spec)
 
@@ -115,6 +112,6 @@ def random_instance(seed: int, max_coords: int = 6) -> RandomInstance:
         )
 
 
-def instance_stream(count: int, base_seed: int = 0, max_coords: int = 6):
+def instance_stream(count: int, base_seed: int = 0):
     for i in range(count):
-        yield random_instance(base_seed + i, max_coords=max_coords)
+        yield random_instance(base_seed + i)

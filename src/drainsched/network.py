@@ -35,6 +35,17 @@ def is_integer(value) -> bool:
     )
 
 
+def integer(value, name: str, low: int) -> int:
+    """value, an integer (see is_integer) >= low, as an int; else a ConfigError
+    naming it name. The one rule for every count, seed, id and option: a numpy
+    integer is stored as an int, so a config has one digest."""
+    if not is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Flow:
     """One exogenous arrival stream.
@@ -43,7 +54,7 @@ class Flow:
     same node belongs to the same flow and shares that flow's per-node queues
     and statistics. Routes are fixed node paths from source to
     destination; the scheduler may split traffic across them. The
-    NetworkSpec that holds a flow checks it.
+    NetworkSpec that holds a flow checks it and stores its node ids as ints.
     """
 
     source: int
@@ -52,8 +63,23 @@ class Flow:
     arrival_rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "routes", tuple(tuple(int(n) for n in r) for r in self.routes))
+        object.__setattr__(self, "routes", tuple(map(tuple, self.routes)))
         object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
+
+
+def _ids(values, path: str) -> tuple[int, ...]:
+    """values as ints by integer's rule (ids are >= 0), item k named path[k]."""
+    return tuple(integer(v, f"{path}[{k}]", 0) for k, v in enumerate(values))
+
+
+def _int_flow(fl: Flow, path: str) -> Flow:
+    """fl, read at path, with its node ids checked by integer's rule."""
+    return Flow(
+        source=integer(fl.source, f"{path}.source", 0),
+        destination=integer(fl.destination, f"{path}.destination", 0),
+        routes=tuple(_ids(route, f"{path}.routes[{ri}]") for ri, route in enumerate(fl.routes)),
+        arrival_rate=fl.arrival_rate,
+    )
 
 
 @dataclass(frozen=True)
@@ -65,6 +91,8 @@ class NetworkSpec:
     flows: arrival streams with fixed routes.
     interference_sets: sets of link indices of which at most one link may be
         active per slot. Usually produced by derive_interference_sets.
+    Node ids and link indices follow integer's rule, each named by its
+    config path (network.links[0].i, network.flows[0].routes[0][1], ...).
     """
 
     positions: tuple[tuple[float, float], ...]
@@ -76,13 +104,17 @@ class NetworkSpec:
         object.__setattr__(
             self, "positions", tuple((float(x), float(y)) for x, y in self.positions)
         )
-        object.__setattr__(self, "links", tuple((int(i), int(j)) for i, j in self.links))
-        object.__setattr__(self, "flows", tuple(self.flows))
-        object.__setattr__(
-            self,
-            "interference_sets",
-            tuple(tuple(sorted(set(int(m) for m in s))) for s in self.interference_sets),
-        )
+        object.__setattr__(self, "links", tuple(
+            (integer(i, f"network.links[{li}].i", 0), integer(j, f"network.links[{li}].j", 0))
+            for li, (i, j) in enumerate(self.links)
+        ))
+        object.__setattr__(self, "flows", tuple(
+            _int_flow(fl, f"network.flows[{fi}]") for fi, fl in enumerate(self.flows)
+        ))
+        object.__setattr__(self, "interference_sets", tuple(
+            tuple(sorted(set(_ids(members, f"network.extra_interference_sets[{si}]"))))
+            for si, members in enumerate(self.interference_sets)
+        ))
         self._validate()
 
     # -- validation -------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import ConstraintSet, Halfspace, is_integer
+from .network import ConfigError, ConstraintSet, Halfspace, integer
 
 INIT_MODES = ("ones", "zeros")
 DIVISOR_MODES = ("coordinates", "links")
@@ -88,6 +88,7 @@ class OptParams:
         coordinates (exact orthogonal projection); "links" divides by the
         interference set's link count instead, reproducing the coarser
         per-link message arithmetic.
+    A bad value is a ConfigError naming its config key (optimizer.<key>).
     """
 
     step_size: float = 1e-4
@@ -98,21 +99,17 @@ class OptParams:
 
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
+            raise ConfigError(f"optimizer.step_size must be finite and > 0, got {self.step_size}")
         for name in ("cycles", "projection_repeats"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            # A numpy integer would give the same solver another config digest.
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(getattr(self, name), f"optimizer.{name}", 1))
         if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
+            raise ConfigError(
+                f"optimizer.init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"
+            )
         if self.divisor_mode not in DIVISOR_MODES:
-            raise ValueError(
-                f"divisor_mode (config key projection_divisor) must be one of "
-                f"{DIVISOR_MODES}, got {self.divisor_mode!r}"
+            raise ConfigError(
+                f"optimizer.projection_divisor must be one of {DIVISOR_MODES}, "
+                f"got {self.divisor_mode!r}"
             )
 
 

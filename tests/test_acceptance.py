@@ -42,7 +42,7 @@ def oracle_battery():
     """Criterion 1 data: 200 seeded random instances, solver vs oracle."""
     t0 = time.monotonic()
     rows = []
-    for inst in instance_stream(200, base_seed=0, max_coords=6):
+    for inst in instance_stream(200, base_seed=0):
         params = OptParams(step_size=inst.step_size, cycles=50)
         s, diag = solve_review_optimization(inst.weights, inst.constraints, params)
         _, best = oracle_solve(inst.weights, inst.constraints)

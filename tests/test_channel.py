@@ -224,6 +224,11 @@ class TestMatchesNumpyReference:
         for kwargs in ({"power": 0.0}, {"noise": -1.0}, {"base": "10"}):
             with pytest.raises(ValueError):
                 rate_table({(0, 1): 1.0}, **kwargs)
+        # NaN passed the old "<= 0" checks and gave NaN rates, inf a NaN on a zero gain.
+        for name in ("power", "noise"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
+                    rate_table({(0, 1): 1.0, (1, 2): 0.0}, **{name: value})
 
     def test_squared_lengths_are_read_only(self):
         net = parallel_links_net(3, dx=0.5)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -11,6 +12,7 @@ import yaml
 import pytest
 
 from drainsched import channel as chan
+from drainsched import cli
 from drainsched.config import (
     _CHECKS,
     _RENAMED,
@@ -26,7 +28,7 @@ from drainsched.config import (
 )
 from drainsched.control import QosSpec
 from drainsched.engine import run_simulation
-from drainsched.experiments import build_grid, bundled_preset_config
+from drainsched.experiments import build_grid, bundled_preset_config, run_experiment, run_jobs
 from drainsched.network import ConfigError, Flow, NetworkSpec
 from drainsched.optim import OptParams
 
@@ -260,14 +262,15 @@ control:
         with pytest.raises(ConfigError, match=f"channel.{field} must be finite"):
             replace(channel, **{field: value})
 
-    @pytest.mark.parametrize("field, value", [
-        ("a1", math.nan),
-        ("a2", math.inf),
-        ("safety_stock_pkts", math.nan),
+    @pytest.mark.parametrize("field, value, rule", [
+        pytest.param("a1", math.nan, "finite", id="a1-nan"),
+        pytest.param("a2", math.inf, "finite", id="a2-inf"),
+        pytest.param("safety_stock_pkts", math.nan, "an integer, got nan",
+                     id="safety_stock_pkts-nan"),
     ])
-    def test_non_finite_control_value_named(self, field, value):
+    def test_non_finite_control_value_named(self, field, value, rule):
         control = parse_config(MINIMAL).control
-        with pytest.raises(ConfigError, match=f"control.{field} must be finite"):
+        with pytest.raises(ConfigError, match=f"^control.{field} must be {rule}"):
             replace(control, **{field: value})
 
     @pytest.mark.parametrize("value", [2.5, True])
@@ -314,7 +317,7 @@ control:
     @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True])
     def test_non_integer_optimizer_count_named(self, field, value):
         optimizer = parse_config(MINIMAL).optimizer
-        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        with pytest.raises(ConfigError, match=f"^optimizer.{field} must be an integer"):
             replace(optimizer, **{field: value})
 
     def test_numpy_integer_optimizer_counts_accepted(self):
@@ -330,7 +333,7 @@ control:
 
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, True])
     def test_non_integer_seed_named(self, value):
-        with pytest.raises(ConfigError, match="run.seeds must be nonnegative integers"):
+        with pytest.raises(ConfigError, match=r"^run.seeds\[0\] must be an integer"):
             RunParams(seeds=(value,))
 
     def test_numpy_integers_accepted(self):
@@ -369,7 +372,7 @@ control:
     @pytest.mark.parametrize("key", ["init_mode", "projection_divisor"])
     def test_bad_optimizer_mode_named(self, key):
         doc = MINIMAL + f"\noptimizer: {{{key}: bogus}}\n"
-        with pytest.raises(ConfigError, match=f"optimizer: .*{key}.*'bogus'"):
+        with pytest.raises(ConfigError, match=f"^optimizer.{key} must be one of .*, got 'bogus'$"):
             parse_config(doc)
 
 
@@ -438,11 +441,74 @@ control:
     def test_flow_id_must_be_an_integer(self, key):
         # Each key used to be read with int() and taken for flow 1.
         doc = MINIMAL + f"\ncontrol: {{qos: {{{key}: {{kind: mean_delay, target_slots: 5}}}}}}\n"
-        with pytest.raises(ConfigError, match="^control.qos: flow id .* is not an integer$"):
+        with pytest.raises(ConfigError, match="^control.qos: flow id must be an integer, got "):
             parse_config(doc)
 
 
 SPEC = QosSpec(kind="mean_delay", target_slots=5.0)
+
+
+def _chain(links=((0, 1), (1, 2)), source=0, destination=2, route=(0, 1, 2), extra=()):
+    """A valid three-node network built in code, one of its ids replaced."""
+    return NetworkSpec(positions=((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), links=links,
+                       flows=(Flow(source, destination, (route,), 0.5),),
+                       interference_sets=extra)
+
+
+def _oracle_check(**option):
+    return cli._cmd_oracle_check(
+        argparse.Namespace(**({"instances": 1, "base_seed": 0, "cycles": 50} | option))
+    )
+
+
+# Every integer input built in code: (the name its errors give, the bound,
+# a call that builds it with value v, given a scratch directory).
+INTEGER_SITES = {
+    "cycles": ("optimizer.cycles", 1, lambda v, _: OptParams(cycles=v)),
+    "projection_repeats": ("optimizer.projection_repeats", 1,
+                           lambda v, _: OptParams(projection_repeats=v)),
+    "horizon_slots": ("run.horizon_slots", 0, lambda v, _: RunParams(horizon_slots=v)),
+    "seed": ("run.seeds[1]", 0, lambda v, _: RunParams(seeds=(1, v))),
+    "safety_stock_pkts": ("control.safety_stock_pkts", 0,
+                          lambda v, _: ControlParams(safety_stock_pkts=v)),
+    "qos-flow-id": ("control.qos: flow id", 0, lambda v, _: ControlParams(qos={v: SPEC})),
+    "deadline_slots": ("qos.deadline_slots", 1, lambda v, _: QosSpec(
+        kind="hard_deadline", deadline_slots=v, drop_ratio_target=0.1)),
+    "run_jobs-workers": ("workers", 1, lambda v, _: run_jobs([], workers=v)),
+    "run_experiment-workers": ("workers", 1, lambda v, tmp: run_experiment(
+        "table2", tmp / "out", seeds=[1], horizon=30, workers=v)),
+    "oracle-check-instances": ("--instances", 1, lambda v, _: _oracle_check(instances=v)),
+    "oracle-check-base-seed": ("--base-seed", 0, lambda v, _: _oracle_check(base_seed=v)),
+    "oracle-check-cycles": ("--cycles", 1, lambda v, _: _oracle_check(cycles=v)),
+    "link-i": ("network.links[0].i", 0, lambda v, _: _chain(links=((v, 1), (1, 2)))),
+    "link-j": ("network.links[1].j", 0, lambda v, _: _chain(links=((0, 1), (1, v)))),
+    "source": ("network.flows[0].source", 0, lambda v, _: _chain(source=v)),
+    "destination": ("network.flows[0].destination", 0, lambda v, _: _chain(destination=v)),
+    "route-node": ("network.flows[0].routes[0][1]", 0, lambda v, _: _chain(route=(0, v, 2))),
+    "extra-set-index": ("network.extra_interference_sets[0][0]", 0,
+                        lambda v, _: _chain(extra=((v,),))),
+}
+
+
+class TestIntegerRule:
+    """network.integer's rule, met at every integer input with its two messages."""
+
+    @pytest.mark.parametrize("site", list(INTEGER_SITES))
+    @pytest.mark.parametrize("value", [2.5, math.nan, True, "2"], ids=["2.5", "nan", "True", "str"])
+    def test_non_integer_rejected(self, tmp_path, site, value):
+        name, _, build = INTEGER_SITES[site]
+        with pytest.raises(ConfigError) as exc:
+            build(value, tmp_path)
+        assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("site", list(INTEGER_SITES))
+    def test_below_the_bound_rejected(self, tmp_path, site):
+        name, low, build = INTEGER_SITES[site]
+        with pytest.raises(ConfigError) as exc:
+            build(low - 1, tmp_path)
+        assert str(exc.value) == f"{name} must be >= {low}, got {low - 1}"
+        assert not (tmp_path / "out").exists()
 
 
 class TestQosFlowIds:
@@ -464,13 +530,19 @@ class TestQosFlowIds:
 
     def test_with_qos_shares_the_network(self):
         cfg = bundled_preset_config()
-        got = with_qos(cfg, {7: SPEC, 8: None})
+        got = with_qos(cfg, {7: SPEC})
         assert got.network is cfg.network
         assert got.control.qos == {7: SPEC}
 
+    @pytest.mark.parametrize("spec", [None, "mean_delay", {"kind": "mean_delay"}])
+    def test_entry_that_is_not_a_spec_rejected(self, spec):
+        # A flow without QoS has no entry; None is not a second way to say so.
+        with pytest.raises(ConfigError, match=r"^control.qos\[8\] must be a QosSpec, got "):
+            with_qos(bundled_preset_config(), {7: SPEC, 8: spec})
+
     @pytest.mark.parametrize("fid", [1.0, True, "7"])
     def test_non_integer_id_rejected_by_replace(self, fid):
-        with pytest.raises(ConfigError, match="is not an integer"):
+        with pytest.raises(ConfigError, match="^control.qos: flow id must be an integer, got "):
             ControlParams(qos={fid: SPEC})
 
     def test_numpy_integer_id_stored_as_int(self):

@@ -91,19 +91,21 @@ class TestQosSpec:
         with pytest.raises(ConfigError, match="kind"):
             QosSpec(kind="jitter")
 
-    @pytest.mark.parametrize("field, value", [
-        ("target_slots", math.inf),
-        ("theta_hat", math.nan),
-        ("theta_hat", math.inf),
-        ("deadline_slots", math.inf),
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("target_slots", math.inf, "finite target_slots", id="target_slots-inf"),
+        pytest.param("theta_hat", math.nan, "theta_hat must be finite", id="theta_hat-nan"),
+        pytest.param("theta_hat", math.inf, "theta_hat must be finite", id="theta_hat-inf"),
+        # A deadline is a count of slots: integer's rule, which inf fails.
+        pytest.param("deadline_slots", math.inf, "^qos.deadline_slots must be an integer, got inf",
+                     id="deadline_slots-inf"),
     ])
-    def test_non_finite_value_named(self, field, value):
+    def test_non_finite_value_named(self, field, value, message):
         spec = (
             QosSpec(kind="hard_deadline", deadline_slots=100, drop_ratio_target=0.02)
             if field == "deadline_slots"
             else QosSpec(kind="mean_delay", target_slots=10.0)
         )
-        with pytest.raises(ConfigError, match=f"finite {field}|{field} must be finite"):
+        with pytest.raises(ConfigError, match=message):
             replace(spec, **{field: value})
 
 
@@ -131,7 +133,7 @@ class TestUpdateQosWeights:
         assert update_qos_weights(specs, flows) == {5: 2.0}
 
     def test_no_spec_weighs_one(self):
-        assert update_qos_weights({9: None}, {9: FlowMetrics(delivered=10)}) == {9: 1.0}
+        assert update_qos_weights({}, {9: FlowMetrics(delivered=10)}) == {9: 1.0}
 
     def test_no_deliveries_weigh_one(self):
         specs = {7: QosSpec(kind="mean_delay", target_slots=1, theta_hat=4.0)}
@@ -142,7 +144,6 @@ class TestUpdateQosWeights:
             7: QosSpec(kind="mean_delay", target_slots=40, theta_hat=6.0),
             8: QosSpec(kind="hard_deadline", deadline_slots=120,
                        drop_ratio_target=0.05, theta_hat=3.0),
-            9: None,
         }
         flows = {
             7: FlowMetrics(delivered=10, delay_sum=900),
@@ -152,6 +153,7 @@ class TestUpdateQosWeights:
         first = update_qos_weights(specs, flows)
         assert first == update_qos_weights(specs, flows)
         assert first == {7: 6.0, 8: 3.0, 9: 1.0}
+        assert list(first) == [7, 8, 9]  # every flow, by ascending id
 
 
 class TestBuildSlotSchedule:

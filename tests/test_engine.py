@@ -110,7 +110,8 @@ def step_against_per_packet_reference(sim, forward, slots, before_slot=None):
     """
     assert sim._check, "the reference reads the counters of a checked run"
     ref = [deque(packets(sim, qi)) for qi in range(len(sim._qkeys))]
-    deadline = sim._deadline
+    deadline = {fid: spec.deadline_slots for fid, spec in sim.config.control.qos.items()
+                if spec.kind == "hard_deadline"}
     stats = {fid: {"created": 0, "delivered": 0, "delay_sum": 0, "late": 0, "hist": {}}
              for fid in sim._flows}
     for _ in range(slots):
@@ -137,7 +138,7 @@ def step_against_per_packet_reference(sim, forward, slots, before_slot=None):
                 st = stats[fid]
                 st["delivered"] += 1
                 st["delay_sum"] += d
-                st["late"] += deadline[fid] is not None and d > deadline[fid]
+                st["late"] += fid in deadline and d > deadline[fid]
                 st["hist"][d] = st["hist"].get(d, 0) + 1
         for rq, created in staged:
             ref[rq].append(created)

@@ -83,6 +83,36 @@ class TestValidation:
             simple_net([(0, 1)], flows)
         assert str(exc.value) == f"network.flows[1]: {message}"
 
+    @pytest.mark.parametrize("links, flow, extra, message", [
+        ([(0.7, 1), (1, 2)], {}, (), "network.links[0].i must be an integer, got 0.7"),
+        ([(True, 1), (1, 2)], {}, (), "network.links[0].i must be an integer, got True"),
+        ([(0, 1), (1, 2)], {"routes": ((0.2, 1, 2),)}, (),
+         "network.flows[0].routes[0][0] must be an integer, got 0.2"),
+        ([(0, 1), (1, 2)], {"destination": 2.0}, (),
+         "network.flows[0].destination must be an integer, got 2.0"),
+        ([(0, 1), (1, 2)], {}, ((0.9,),),
+         "network.extra_interference_sets[0][0] must be an integer, got 0.9"),
+    ], ids=["endpoint", "endpoint-bool", "route-node", "destination", "extra-set-index"])
+    def test_non_integer_id_named_by_path(self, links, flow, extra, message):
+        # Each was truncated by int() and built a different network: link
+        # (0, 1), route (0, 1, 2), extra set (0,), and flow id 2.0.
+        flow = Flow(**({"source": 0, "destination": 2, "routes": ((0, 1, 2),),
+                        "arrival_rate": 1.0} | flow))
+        with pytest.raises(ConfigError) as exc:
+            simple_net(links, [flow], n_nodes=3, extra=extra)
+        assert str(exc.value) == message
+
+    def test_numpy_integer_ids_stored_as_int(self):
+        i64 = np.int64
+        flow = Flow(source=i64(0), destination=i64(2), routes=((0, i64(1), 2),), arrival_rate=1.0)
+        net = simple_net([(i64(0), 1), (1, np.int32(2))], [flow], n_nodes=3, extra=((i64(1),),))
+        fl = net.flows[0]
+        ids = [*sum(net.links, ()), fl.source, fl.destination, *fl.routes[0],
+               *net.interference_sets[0]]
+        assert ids == [0, 1, 1, 2, 0, 2, 0, 1, 2, 1]
+        assert {type(v) for v in ids} == {int}
+        assert net.flow_ids == (2,) and type(net.flow_ids[0]) is int
+
     def test_flow_alone_is_not_checked(self):
         flow = Flow(source=0, destination=1, routes=(), arrival_rate=-1)
         assert (flow.routes, flow.arrival_rate) == ((), -1.0)

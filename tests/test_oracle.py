@@ -138,15 +138,3 @@ def test_values_match_highs_on_mesh10_reviews_and_random_instances():
         assert values[-1] == pytest.approx(-res.fun, rel=1e-12)
     assert any(values[:len(seen)])
 
-
-class TestRandomInstance:
-    @pytest.mark.parametrize("bad", [1, 0, -3, float("nan")])
-    def test_max_coords_below_two_rejected(self, bad):
-        with pytest.raises(ValueError, match="max_coords must be >= 2"):
-            random_instance(0, max_coords=bad)
-        with pytest.raises(ValueError, match="max_coords must be >= 2"):
-            next(instance_stream(3, max_coords=bad))
-
-    def test_two_coordinates_is_enough(self):
-        for inst in instance_stream(5, max_coords=2):
-            assert inst.constraints.n_coords == 2
