@@ -25,7 +25,7 @@ import threading
 
 import numpy as np
 
-from .network import ConfigError, Link, NetworkSpec, is_integer
+from .network import ConfigError, Link, NetworkSpec, is_integer, number
 
 CHANNEL_STREAM = 0  # seed-sequence domain tag for channel draws
 
@@ -180,8 +180,7 @@ def draw_gains(
     period are non-negative integers: a negative one raises ValueError and a
     non-integer, bool included, TypeError.
     """
-    if not 0 < scale_constant < math.inf:
-        raise ConfigError(f"channel scale constant must be finite and > 0, got {scale_constant}")
+    scale_constant = number(scale_constant, "channel scale constant", 0, strict=True)
     # numpy's rayleigh(scale) draws scale * sqrt(2.0 * standard_exponential())
     # per element, so one exponential fill of the same stream gives the same
     # amplitudes bit for bit without its per-call array handling.
@@ -196,9 +195,8 @@ def draw_gains(
 
 def fixed_gains(spec: NetworkSpec, gain: float) -> dict[Link, float]:
     """Constant-gain channel, for controlled experiments."""
-    if not 0 <= gain < math.inf:
-        raise ConfigError(f"fixed gain must be finite and >= 0, got {gain}")
-    return {link: float(gain) for link in spec.links}
+    gain = number(gain, "fixed gain", 0)
+    return {link: gain for link in spec.links}
 
 
 def rate_table(
@@ -208,14 +206,12 @@ def rate_table(
 
     Each rate is the Shannon-style log(1 + gain * power / noise), natural log
     by default or base 2; the arguments shared by every link are checked once
-    (power and noise must be finite and > 0, else a ValueError).
+    (power and noise follow number's rule, finite and > 0).
     A finite gain whose gain * power / noise overflows to inf is a ConfigError
     naming the link: its rate would be infinite.
     """
-    if not 0 < power < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"power must be finite and > 0, got {power}")
-    if not 0 < noise < math.inf:
-        raise ValueError(f"noise must be finite and > 0, got {noise}")
+    power = number(power, "power", 0, strict=True)
+    noise = number(noise, "noise", 0, strict=True)
     if base not in ("e", "2"):
         raise ValueError(f"log base must be 'e' or '2', got {base!r}")
     ln2 = math.log(2.0) if base == "2" else None

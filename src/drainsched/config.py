@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections.abc import Collection
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from functools import cache
@@ -20,7 +19,9 @@ from typing import Any
 import yaml
 
 from .control import QosSpec
-from .network import ConfigError, Flow, NetworkSpec, derive_interference_sets, integer, is_integer
+from .network import (
+    ConfigError, Flow, NetworkSpec, derive_interference_sets, integer, is_integer, number,
+)
 from .optim import OptParams
 
 
@@ -33,16 +34,14 @@ class ChannelParams:
     fixed_gain: float | None = None  # set: every link's power gain; None: Rayleigh fading
 
     def __post_init__(self):
-        if not 0 < self.rayleigh_scale_constant < math.inf:
-            raise ConfigError("channel.rayleigh_scale_constant must be finite and > 0")
-        if not 0 < self.noise_power < math.inf:
-            raise ConfigError("channel.noise_power must be finite and > 0")
-        if not 0 < self.tx_power < math.inf:
-            raise ConfigError("channel.tx_power must be finite and > 0")
+        for name in ("rayleigh_scale_constant", "noise_power", "tx_power"):
+            object.__setattr__(self, name, number(getattr(self, name), f"channel.{name}", 0,
+                                                  strict=True))
         if self.log_base not in ("e", "2"):
             raise ConfigError(f"channel.log_base must be 'e' or '2', got {self.log_base!r}")
-        if self.fixed_gain is not None and not 0 <= self.fixed_gain < math.inf:
-            raise ConfigError("channel.fixed_gain must be finite and >= 0")
+        if self.fixed_gain is not None:
+            object.__setattr__(self, "fixed_gain",
+                               number(self.fixed_gain, "channel.fixed_gain", 0))
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,9 @@ class ControlParams:
     qos: dict[int, QosSpec] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0 < self.a1 < math.inf:
-            raise ConfigError("control.a1 must be finite and > 0")
-        if not 0 < self.a2 < math.inf:
-            raise ConfigError("control.a2 must be finite and > 0")
+        for name in ("a1", "a2"):
+            object.__setattr__(self, name, number(getattr(self, name), f"control.{name}", 0,
+                                                  strict=True))
         object.__setattr__(self, "safety_stock_pkts",
                            integer(self.safety_stock_pkts, "control.safety_stock_pkts", 0))
         # A flow without QoS has no entry.
@@ -128,22 +126,16 @@ def _get(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _number(value: Any, path: str) -> float:
+# Only the type: a YAML value is checked where it is read, with its element
+# path and the parser's "path: expected ..." form; its bounds are the field's
+# own rule (network.number or network.integer), met when the dataclass is built.
+def _number(value: Any, path: str) -> int | float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return number
+    return value
 
 
 def _integer(value: Any, path: str) -> int:
-    # Only the type: a YAML value is checked where it is read, with its element
-    # path and the parser's "path: expected ..." form; its bound is the field's
-    # own rule (network.integer), met when the dataclass is built.
     if not is_integer(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .network import ConfigError, ConstraintSet, integer
+from .network import ConfigError, ConstraintSet, integer, number
 
 if TYPE_CHECKING:
     from .report import FlowMetrics
@@ -39,13 +39,15 @@ class QosSpec:
     theta_hat: float = 2.0
 
     def __post_init__(self):
+        object.__setattr__(self, "theta_hat",
+                           number(self.theta_hat, "qos.theta_hat", 1, strict=True))
         if self.kind not in QOS_KINDS:
             raise ConfigError(f"qos.kind must be one of {QOS_KINDS}, got {self.kind!r}")
-        if not 1.0 < self.theta_hat < math.inf:
-            raise ConfigError(f"qos.theta_hat must be finite and > 1, got {self.theta_hat}")
         if self.kind == "mean_delay":
-            if self.target_slots is None or not 0 < self.target_slots < math.inf:
+            if self.target_slots is None:
                 raise ConfigError("qos: mean_delay requires a finite target_slots > 0")
+            object.__setattr__(self, "target_slots",
+                               number(self.target_slots, "qos.target_slots", 0, strict=True))
             if self.deadline_slots is not None or self.drop_ratio_target is not None:
                 raise ConfigError("qos: mean_delay takes only target_slots")
         else:
@@ -54,8 +56,10 @@ class QosSpec:
             object.__setattr__(
                 self, "deadline_slots", integer(self.deadline_slots, "qos.deadline_slots", 1)
             )
-            if self.drop_ratio_target is None or not 0 < self.drop_ratio_target < 1:
+            if self.drop_ratio_target is None:
                 raise ConfigError("qos: hard_deadline requires drop_ratio_target in (0, 1)")
+            object.__setattr__(self, "drop_ratio_target", number(
+                self.drop_ratio_target, "qos.drop_ratio_target", 0, strict=True, high=1))
             if self.target_slots is not None:
                 raise ConfigError("qos: hard_deadline takes no target_slots")
 
@@ -67,10 +71,9 @@ def next_review_time(t: int, total_backlog: float, a1: float = 1.0, a2: float = 
     one slot keeps the clock moving when the network is empty. A length
     that overflows a float is a ConfigError naming control.a1 and control.a2.
     """
-    if not 0 <= total_backlog < math.inf:
-        raise ValueError(f"total backlog must be finite and >= 0, got {total_backlog}")
-    if not (0 < a1 < math.inf and 0 < a2 < math.inf):
-        raise ValueError(f"review constants a1 and a2 must be finite and > 0, got {a1}, {a2}")
+    number(total_backlog, "total backlog", 0)
+    number(a1, "a1", 0, strict=True)
+    number(a2, "a2", 0, strict=True)
     length = a1 * math.log1p(a2 * total_backlog)
     if length == math.inf:
         raise ConfigError(

@@ -64,7 +64,7 @@ import numpy as np
 from . import channel as chan
 from .config import RunParams, SimConfig
 from .control import build_slot_schedule, next_review_time, update_qos_weights
-from .network import ConfigError, build_constraints, build_link_flow_index
+from .network import ConfigError, build_constraints, build_link_flow_index, is_integer
 from .optim import WeightVector, solve_review_optimization
 from .report import MAX_WINDOW, FlowMetrics, MetricsReport, PeriodLog, Periods
 
@@ -145,9 +145,8 @@ class Simulation:
     ):
         self.config = config
         horizon = config.run.horizon_slots if horizon is None else horizon
-        RunParams(horizon_slots=horizon, seeds=(seed,))  # same checks as a config
-        self.seed = int(seed)
-        self.horizon = int(horizon)
+        run = RunParams(horizon_slots=horizon, seeds=(seed,))  # same checks as a config
+        self.seed, self.horizon = run.seeds[0], run.horizon_slots
         self._check = check_invariants
         self._trace_file = trace_file
 
@@ -224,13 +223,16 @@ class Simulation:
     def inject(self, node: int, flow_id: int, created_slots) -> None:
         """Place packets directly into queue (node, flow); debugging helper.
 
-        Creation slots may not lie after the clock t (ValueError, and the
-        queue is unchanged). Injected packets count as exogenous arrivals for
-        the conservation bookkeeping.
+        Creation slots are integers (they may be negative) no later than the
+        clock t, else a ValueError and the queue is unchanged. Injected packets
+        count as exogenous arrivals for the conservation bookkeeping.
         """
         if (node, flow_id) not in self._qkeys:
             raise ValueError(f"inject: no queue for node {node!r} and flow {flow_id!r}")
-        created = [int(c) for c in created_slots]
+        created = list(created_slots)
+        if not all(map(is_integer, created)):
+            raise ValueError(f"inject: creation slots must be integers, got {created!r}")
+        created = list(map(int, created))
         if created and max(created) > self._t:
             raise ValueError(
                 f"inject: creation slot {max(created)} is after the clock, t = {self._t}"

@@ -46,6 +46,30 @@ def integer(value, name: str, low: int) -> int:
     return int(value)
 
 
+def number(value, name: str, low: float, *, strict=False, high: float | None = None) -> float:
+    """value, a real number (not a bool; an int past the float range counts as
+    infinite), finite and >= low (> low when strict) and, given high, <= high
+    (< high when strict), as a float; else a ConfigError naming it name. The
+    one rule for every real-valued input: a rate, a scale, a power, a review
+    constant, a weight or a position."""
+    x = value
+    if type(x) is not float:  # an in-range float goes straight to the bounds
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            x = math.inf
+    if -math.inf < x < math.inf and (low < x if strict else low <= x) and (
+        high is None or (x < high if strict else x <= high)
+    ):
+        return x
+    bounds = "" if low == -math.inf else f" and {'>' if strict else '>='} {low}"
+    if high is not None:
+        bounds += f" and {'<' if strict else '<='} {high}"
+    raise ConfigError(f"{name} must be finite{bounds}, got {value}")
+
+
 @dataclass(frozen=True)
 class Flow:
     """One exogenous arrival stream.
@@ -53,8 +77,9 @@ class Flow:
     Traffic identity follows the destination: every stream addressed to the
     same node belongs to the same flow and shares that flow's per-node queues
     and statistics. Routes are fixed node paths from source to
-    destination; the scheduler may split traffic across them. The
-    NetworkSpec that holds a flow checks it and stores its node ids as ints.
+    destination; the scheduler may split traffic across them. A Flow is a
+    plain record: the NetworkSpec that holds it checks it and stores its node
+    ids as ints, its routes as tuples and its rate as a float.
     """
 
     source: int
@@ -62,23 +87,20 @@ class Flow:
     routes: tuple[tuple[int, ...], ...]
     arrival_rate: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "routes", tuple(map(tuple, self.routes)))
-        object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
-
 
 def _ids(values, path: str) -> tuple[int, ...]:
     """values as ints by integer's rule (ids are >= 0), item k named path[k]."""
     return tuple(integer(v, f"{path}[{k}]", 0) for k, v in enumerate(values))
 
 
-def _int_flow(fl: Flow, path: str) -> Flow:
-    """fl, read at path, with its node ids checked by integer's rule."""
+def _checked_flow(fl: Flow, path: str) -> Flow:
+    """fl, read at path: ids by integer's rule, the rate by number's."""
     return Flow(
         source=integer(fl.source, f"{path}.source", 0),
         destination=integer(fl.destination, f"{path}.destination", 0),
         routes=tuple(_ids(route, f"{path}.routes[{ri}]") for ri, route in enumerate(fl.routes)),
-        arrival_rate=fl.arrival_rate,
+        arrival_rate=number(fl.arrival_rate, f"{path}.rate_pkts_per_slot", 0,
+                            high=_MAX_ARRIVAL_RATE),
     )
 
 
@@ -91,8 +113,9 @@ class NetworkSpec:
     flows: arrival streams with fixed routes.
     interference_sets: sets of link indices of which at most one link may be
         active per slot. Usually produced by derive_interference_sets.
-    Node ids and link indices follow integer's rule, each named by its
-    config path (network.links[0].i, network.flows[0].routes[0][1], ...).
+    Node ids and link indices follow integer's rule, positions and rates
+    number's, each named by its config path (network.links[0].i,
+    network.flows[0].routes[0][1], network.nodes[3].x, ...).
     """
 
     positions: tuple[tuple[float, float], ...]
@@ -101,15 +124,17 @@ class NetworkSpec:
     interference_sets: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "positions", tuple((float(x), float(y)) for x, y in self.positions)
-        )
+        object.__setattr__(self, "positions", tuple(
+            (number(x, f"network.nodes[{v}].x", -math.inf),
+             number(y, f"network.nodes[{v}].y", -math.inf))
+            for v, (x, y) in enumerate(self.positions)
+        ))
         object.__setattr__(self, "links", tuple(
             (integer(i, f"network.links[{li}].i", 0), integer(j, f"network.links[{li}].j", 0))
             for li, (i, j) in enumerate(self.links)
         ))
         object.__setattr__(self, "flows", tuple(
-            _int_flow(fl, f"network.flows[{fi}]") for fi, fl in enumerate(self.flows)
+            _checked_flow(fl, f"network.flows[{fi}]") for fi, fl in enumerate(self.flows)
         ))
         object.__setattr__(self, "interference_sets", tuple(
             tuple(sorted(set(_ids(members, f"network.extra_interference_sets[{si}]"))))
@@ -123,9 +148,6 @@ class NetworkSpec:
         n = len(self.positions)
         if n == 0:
             raise ConfigError("network.nodes: at least one node is required")
-        for v, (x, y) in enumerate(self.positions):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ConfigError(f"network.nodes[{v}]: position must be finite, got ({x}, {y})")
         seen: set[Link] = set()
         for li, (i, j) in enumerate(self.links):
             if not (0 <= i < n and 0 <= j < n):
@@ -136,20 +158,13 @@ class NetworkSpec:
                 raise ConfigError(f"network.links[{li}]: duplicate link ({i}, {j})")
             seen.add((i, j))
             d = self.distance((i, j))
-            if d <= 0.0:
-                raise ConfigError(
-                    f"network.links[{li}]: nodes {i} and {j} have coincident positions"
-                )
             # The channel divides by d ** 2, so it must be a positive finite float.
             try:
                 d2 = d ** 2
             except OverflowError:
                 d2 = math.inf
-            if not 0.0 < d2 < math.inf:
-                raise ConfigError(
-                    f"network.links[{li}]: nodes {i} and {j} are {d!r} apart; the squared"
-                    f" length {'underflows to 0' if d2 == 0.0 else 'overflows'}"
-                )
+            number(d2, f"network.links[{li}]: nodes {i} and {j} are {d!r} apart; the squared"
+                   " length", 0, strict=True)
         for si, members in enumerate(self.interference_sets):
             if not members:
                 raise ConfigError(f"network.extra_interference_sets[{si}]: empty set")
@@ -162,15 +177,6 @@ class NetworkSpec:
         for fi, fl in enumerate(self.flows):
             if not fl.routes:
                 raise ConfigError(f"network.flows[{fi}]: needs at least one route")
-            if not 0 <= fl.arrival_rate < math.inf:
-                raise ConfigError(
-                    f"network.flows[{fi}]: arrival rate must be >= 0, got {fl.arrival_rate}"
-                )
-            if fl.arrival_rate > _MAX_ARRIVAL_RATE:
-                raise ConfigError(
-                    f"network.flows[{fi}]: arrival rate must be <= {_MAX_ARRIVAL_RATE!r} "
-                    f"(numpy's Poisson limit), got {fl.arrival_rate!r}"
-                )
             if not (0 <= fl.source < n and 0 <= fl.destination < n):
                 raise ConfigError(f"network.flows[{fi}]: source/destination out of range")
             for ri, route in enumerate(fl.routes):
@@ -313,8 +319,8 @@ class Halfspace:
 
     @staticmethod
     def sum_cap(members, link_count: int | None = None) -> "Halfspace":
-        """The halfspace 'sum of the member coordinates <= 1'."""
-        members = tuple(sorted(set(int(m) for m in members)))
+        """The halfspace 'sum of the member coordinates <= 1' (members by integer's rule)."""
+        members = tuple(sorted({integer(m, "halfspace member", 0) for m in members}))
         c = 1.0 / math.sqrt(len(members))
         return Halfspace(members, (c,) * len(members), c, True, link_count)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .network import ConfigError, ConstraintSet, Halfspace, integer
+from .network import ConfigError, ConstraintSet, Halfspace, integer, number
 
 INIT_MODES = ("ones", "zeros")
 DIVISOR_MODES = ("coordinates", "links")
@@ -44,9 +44,9 @@ class WeightVector:
     """Per-coordinate objective data at a review instant.
 
     w[k] is theta^f * (backlog of queue (i(k), f(k))), mu[k] the link rate.
-    Both are stored as tuples of floats; any 1-d sequence of numbers (a list,
-    a tuple or an ndarray) is accepted. theta_hat is the largest configured
-    priority weight; it only feeds the convergence-bound diagnostic.
+    Both are stored as tuples of floats, each finite and >= 0; any 1-d sequence
+    (a list, a tuple or an ndarray) is accepted. theta_hat (finite, >= 1) is
+    the largest configured priority weight; it only feeds the convergence bound.
     """
 
     w: tuple[float, ...]
@@ -58,12 +58,12 @@ class WeightVector:
         mu = _floats(self.mu)
         if len(w) != len(mu):
             raise ValueError("w and mu must be 1-d vectors of equal length")
+        # One inline pass per vector (the review path); number words the error.
         for name, values in (("w", w), ("mu", mu)):
             for x in values:
                 if not 0.0 <= x < math.inf:  # NaN fails both comparisons
-                    raise ValueError(f"{name} must be finite and >= 0, got {x}")
-        if not 1.0 <= self.theta_hat < math.inf:
-            raise ValueError(f"theta_hat must be finite and >= 1, got {self.theta_hat}")
+                    number(x, name, 0)
+        object.__setattr__(self, "theta_hat", number(self.theta_hat, "theta_hat", 1))
         # Built from the lists, never from an iterator: a tuple grown from an
         # iterator is resized, and the freed ones pile up on CPython's tuple
         # free list instead of being reused.
@@ -98,8 +98,8 @@ class OptParams:
     divisor_mode: str = "coordinates"
 
     def __post_init__(self):
-        if not 0 < self.step_size < math.inf:
-            raise ConfigError(f"optimizer.step_size must be finite and > 0, got {self.step_size}")
+        object.__setattr__(self, "step_size",
+                           number(self.step_size, "optimizer.step_size", 0, strict=True))
         for name in ("cycles", "projection_repeats"):
             object.__setattr__(self, name, integer(getattr(self, name), f"optimizer.{name}", 1))
         if self.init_mode not in INIT_MODES:

@@ -71,16 +71,17 @@ class TestRunCommand:
         assert not out.exists()  # checked before the output directory is made
 
     @pytest.mark.parametrize("channel, key", [
-        ("{fixed_gain: .nan}", "channel.fixed_gain"),
-        ("{fixed_gain: 4.0, noise_power: .inf}", "channel.noise_power"),
-        ("{fixed_gain: 4.0, tx_power: .inf}", "channel.tx_power"),
+        ("{fixed_gain: .nan}", "channel.fixed_gain must be finite and >= 0, got nan"),
+        ("{fixed_gain: 4.0, noise_power: .inf}",
+         "channel.noise_power must be finite and > 0, got inf"),
+        ("{fixed_gain: 4.0, tx_power: .inf}", "channel.tx_power must be finite and > 0, got inf"),
     ], ids=["fixed_gain", "noise_power", "tx_power"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, channel, key):
         bad = tmp_path / "bad.yaml"
         bad.write_text(SMALL_YAML.replace("{fixed_gain: 4.0}", channel))
         status = main(["run", "--config", str(bad), "--out", str(tmp_path)])
         assert status == 1
-        assert f"config error: {key}: expected a finite number" in capsys.readouterr().err
+        assert f"config error: {key}\n" in capsys.readouterr().err
 
     def test_overflowing_link_rate_is_config_error(self, tmp_path, capsys):
         # Each channel value is finite, but gain * tx_power / noise is not.

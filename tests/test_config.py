@@ -247,7 +247,8 @@ control:
     @pytest.mark.parametrize("value", [".nan", "-.inf", "1" + "0" * 400])
     def test_non_finite_number_named(self, value):
         doc = MINIMAL + f"\ncontrol: {{a1: {value}}}\n"
-        with pytest.raises(ConfigError, match="control.a1: expected a finite number"):
+        # The reader checks only the type; ControlParams' number rule names the key.
+        with pytest.raises(ConfigError, match="^control.a1 must be finite and > 0, got "):
             parse_config(doc)
 
     @pytest.mark.parametrize("field, value", [
@@ -429,7 +430,7 @@ control:
         ("{kind: none, target_slots: abc, theta_hat: .nan}",
          r"control.qos\[1\].target_slots: expected a number, got 'abc'"),
         ("{kind: none, theta_hat: .nan}",
-         r"control.qos\[1\].theta_hat: expected a finite number"),
+         r"control.qos\[1\].theta_hat must be finite and > 1, got nan"),
     ], ids=["target_slots", "theta_hat"])
     def test_kind_none_values_still_checked(self, entry, message):
         doc = MINIMAL + f"\ncontrol: {{qos: {{1: {entry}}}}}\n"
@@ -656,7 +657,7 @@ NETWORK_ERRORS = {
     "node-y-text": (_network(nodes=[[0.0, 0.0], [0.5, "a"]]), {},
                     "network.nodes[1].y: expected a number, got 'a'"),
     "node-x-nan": (_network(nodes=[[NAN, 0.0], [0.5, 0.5]]), {},
-                   "network.nodes[0].x: expected a finite number, got nan"),
+                   "network.nodes[0].x must be finite, got nan"),
     "no-nodes": (_network(nodes=[], links=[], flows=[]), {},
                  "network.nodes: at least one node is required"),
     "links-not-list": (_network(links={"a": 1}), {}, "network.links: expected a list, got dict"),
@@ -693,7 +694,8 @@ NETWORK_ERRORS = {
     "rate-text": (_flow(rate_pkts_per_slot="x"), {},
                   "network.flows[0].rate_pkts_per_slot: expected a number, got 'x'"),
     "rate-negative": (_flow(rate_pkts_per_slot=-1), {},
-                      "network.flows[0]: arrival rate must be >= 0, got -1.0"),
+                      "network.flows[0].rate_pkts_per_slot must be finite and >= 0 and"
+                      " <= 9.223372006484771e+18, got -1"),
     "routes-not-list": (_flow(routes=5), {},
                         "network.flows[0].routes: expected a list, got int"),
     "route-not-list": (_flow(routes=[5]), {},

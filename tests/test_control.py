@@ -51,10 +51,10 @@ class TestNextReviewTime:
         (math.nan, 1.0, 1.0, "total backlog must be finite"),
         (math.inf, 1.0, 1.0, "total backlog must be finite"),
         (-math.inf, 1.0, 1.0, "total backlog must be finite"),
-        (10.0, math.nan, 1.0, "review constants"),
-        (10.0, math.inf, 1.0, "review constants"),
-        (10.0, 1.0, math.nan, "review constants"),
-        (10.0, 1.0, math.inf, "review constants"),
+        (10.0, math.nan, 1.0, "^a1 must be finite and > 0, got nan$"),
+        (10.0, math.inf, 1.0, "^a1 must be finite and > 0, got inf$"),
+        (10.0, 1.0, math.nan, "^a2 must be finite and > 0, got nan$"),
+        (10.0, 1.0, math.inf, "^a2 must be finite and > 0, got inf$"),
     ])
     def test_non_finite_input_rejected_with_own_message(self, backlog, a1, a2, message):
         with pytest.raises(ValueError, match=message):
@@ -92,7 +92,8 @@ class TestQosSpec:
             QosSpec(kind="jitter")
 
     @pytest.mark.parametrize("field, value, message", [
-        pytest.param("target_slots", math.inf, "finite target_slots", id="target_slots-inf"),
+        pytest.param("target_slots", math.inf, "^qos.target_slots must be finite and > 0, got inf",
+                     id="target_slots-inf"),
         pytest.param("theta_hat", math.nan, "theta_hat must be finite", id="theta_hat-nan"),
         pytest.param("theta_hat", math.inf, "theta_hat must be finite", id="theta_hat-inf"),
         # A deadline is a count of slots: integer's rule, which inf fails.

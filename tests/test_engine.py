@@ -857,7 +857,9 @@ class TestBlockArrivals:
         sim.step()
         assert sim.report().flows[1].created > 0.99 * limit
         over = math.nextafter(limit, math.inf)
-        with pytest.raises(ConfigError, match=r"^network\.flows\[0\]: arrival rate must be <="):
+        with pytest.raises(ConfigError, match=r"^network\.flows\[0\]\.rate_pkts_per_slot must be"
+                                              r" finite and >= 0 and <= 9\.223372006484771e\+18,"
+                                              r" got 9\.223372006484772e\+18$"):
             single_link_config(rate=over)
         with pytest.raises(ValueError, match="lam value too large"):
             np.random.default_rng(1).poisson(over)

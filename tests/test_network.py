@@ -65,13 +65,16 @@ class TestValidation:
 
     def test_negative_rate_rejected(self):
         flow = Flow(source=0, destination=1, routes=((0, 1),), arrival_rate=-0.5)
-        with pytest.raises(ConfigError, match="arrival rate"):
+        with pytest.raises(ConfigError, match=r"^network\.flows\[0\]\.rate_pkts_per_slot"
+                                              r" must be finite and >= 0"):
             simple_net([(0, 1)], [flow])
 
     @pytest.mark.parametrize("routes, rate, message", [
-        ((), 1.0, "needs at least one route"),
-        (((0, 1),), math.nan, "arrival rate must be >= 0, got nan"),
-        (((0, 1),), -math.inf, "arrival rate must be >= 0, got -inf"),
+        ((), 1.0, "network.flows[1]: needs at least one route"),
+        (((0, 1),), math.nan, "network.flows[1].rate_pkts_per_slot must be finite and >= 0"
+                              " and <= 9.223372006484771e+18, got nan"),
+        (((0, 1),), -math.inf, "network.flows[1].rate_pkts_per_slot must be finite and >= 0"
+                               " and <= 9.223372006484771e+18, got -inf"),
     ], ids=["no-routes", "rate-nan", "rate-minus-inf"])
     def test_flow_rule_names_the_flow_by_path(self, routes, rate, message):
         # Two streams with the same endpoints: only the path tells them apart.
@@ -81,7 +84,7 @@ class TestValidation:
         ]
         with pytest.raises(ConfigError) as exc:
             simple_net([(0, 1)], flows)
-        assert str(exc.value) == f"network.flows[1]: {message}"
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("links, flow, extra, message", [
         ([(0.7, 1), (1, 2)], {}, (), "network.links[0].i must be an integer, got 0.7"),
@@ -118,13 +121,18 @@ class TestValidation:
         assert (flow.routes, flow.arrival_rate) == ((), -1.0)
 
     def test_coincident_link_endpoints_rejected(self):
-        with pytest.raises(ConfigError, match="coincident"):
+        with pytest.raises(ConfigError, match=r"^network\.links\[0\]: nodes 0 and 1 are 0\.0"
+                                              r" apart; the squared length must be finite"
+                                              r" and > 0, got 0\.0$"):
             NetworkSpec(positions=((0.0, 0.0), (0.0, 0.0)), links=((0, 1),), flows=())
 
     @pytest.mark.parametrize("positions, what", [
-        (((0.0, 0.0), (1e-200, 0.0)), "1e-200 apart; the squared length underflows to 0"),
-        (((0.0, 0.0), (1e200, 0.0)), "1e\\+200 apart; the squared length overflows"),
-        (((-1e308, 0.0), (1e308, 0.0)), "inf apart; the squared length overflows"),
+        (((0.0, 0.0), (1e-200, 0.0)), "1e-200 apart; the squared length must be finite and > 0,"
+                                      " got 0\\.0$"),
+        (((0.0, 0.0), (1e200, 0.0)), "1e\\+200 apart; the squared length must be finite and > 0,"
+                                     " got inf$"),
+        (((-1e308, 0.0), (1e308, 0.0)), "inf apart; the squared length must be finite and > 0,"
+                                        " got inf$"),
     ], ids=["underflow", "overflow", "infinite"])
     def test_squared_length_out_of_float_range_rejected(self, positions, what):
         with pytest.raises(ConfigError, match=rf"^network\.links\[0\]: nodes 0 and 1 are {what}"):
